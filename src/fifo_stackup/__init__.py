@@ -1,6 +1,12 @@
 """Exact solvers for the FIFO stack-up problem and the directed pathwidth of
-its sequence graphs: configuration-DAG dynamic programming, brute-force
-baselines, graph reductions, and decomposition bridges in both directions."""
+its sequence graphs: a minimax search over decision configurations (the
+paper's processing graph), brute-force baselines, graph reductions, and
+decomposition bridges in both directions.
+
+The bottleneck dynamic program over the whole configuration grid
+(``opt_bottleneck(ConfigurationDag(inst))``) remains as the oracle for
+``solve_min_places``; the configuration budget bounds that grid product, not
+the number of states the search visits."""
 
 from .errors import (
     BudgetError,

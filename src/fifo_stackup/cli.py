@@ -129,7 +129,7 @@ def _run_method(inst: Instance, name: str, args) -> SolveReport:
 
 
 def _cmd_solve(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text())
+    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
     report = _run_method(inst, Path(args.instance).name, args)
     if args.places is not None:
         yes = report.min_places <= args.places
@@ -152,7 +152,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text())
+    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
     pallet_solution = PalletSolution.from_symbols(inst, args.pallets.split(","))
     bin_solution = transform(inst, pallet_solution)
     report = replay(inst, bin_solution)
@@ -169,14 +169,14 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_seqgraph(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text())
+    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
     graph = build_sequence_graph(inst)
     print(digraph_to_dot(graph) if args.dot else emit_digraph(graph), end="")
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    graph = parse_digraph(Path(args.digraph).read_text())
+    graph = parse_digraph(Path(args.digraph).read_text(encoding="utf-8"))
     if args.strip:
         graph, removals = strip_endpoints(graph)
         for name, kind in removals:
@@ -187,7 +187,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_dpw(args) -> int:
-    graph = parse_digraph(Path(args.digraph).read_text())
+    graph = parse_digraph(Path(args.digraph).read_text(encoding="utf-8"))
     if args.method == "subset":
         result = dpw_exact(graph, max_vertices=args.max_vertices)
     else:
@@ -224,7 +224,7 @@ def _cmd_gen(args) -> int:
         inst = generate_instance(spec)
     text = emit_instance(inst)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     report = validate(inst)
@@ -240,9 +240,16 @@ def _cmd_bench(args) -> int:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
     rows = []
-    disagreements = []
+    errors = []
     for path in corpus:
-        inst = parse_instance(path.read_text())
+        try:
+            inst = parse_instance(path.read_text(encoding="utf-8"))
+        except (InstanceFormatError, UnicodeDecodeError, OSError) as exc:
+            errors.append(f"could not read {path.name}: {exc}")
+            rows.extend({"instance": path.name, "method": method, "value": None,
+                         "time_seconds": 0.0, "status": f"error: {exc}"}
+                        for method in methods)
+            continue
         values = {}
         for method in methods:
             started = time.perf_counter()
@@ -265,7 +272,7 @@ def _cmd_bench(args) -> int:
                 "status": status,
             })
         if len(set(values.values())) > 1:
-            disagreements.append(f"{path.name}: {values}")
+            errors.append(f"methods disagree on {path.name}: {values}")
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
@@ -275,11 +282,9 @@ def _cmd_bench(args) -> int:
             writer.writerow([row["instance"], row["method"],
                              "" if row["value"] is None else row["value"],
                              row["time_seconds"], row["status"]])
-    if disagreements:
-        for line in disagreements:
-            print(f"error: methods disagree on {line}", file=sys.stderr)
-        return 2
-    return 0
+    for line in errors:
+        print(f"error: {line}", file=sys.stderr)
+    return 2 if errors else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,8 @@
 
 Two independent routes are provided.  ``dpw_exact`` runs a dynamic program
 over vertex subsets built on an ordering characterization of the width;
-``dpw_via_stackup`` goes through the queue-system reduction and the
-configuration-DAG solver.  ``dpw_brute_force`` searches bag sequences straight
+``dpw_via_stackup`` goes through the queue-system reduction and the stack-up
+solver ``solve_min_places``.  ``dpw_brute_force`` searches bag sequences straight
 from the three decomposition properties and is used to certify the other two
 at small sizes.
 """

@@ -1,13 +1,21 @@
-"""Bottleneck dynamic programming over the implicit configuration DAG.
+"""Minimum stack-up places by a minimax search over decision configurations.
 
-The configuration DAG has one vertex per configuration (per-sequence removed
-counts) and an arc for every single-bin removal.  Each vertex is valued with
-its open-pallet count; the minimum number of stack-up places is the smallest,
-over all source-to-target paths, of the maximum value along the path.
+``solve_min_places`` searches the paper's processing graph.  Its vertices are
+the *decision configurations*: those where no front bin belongs to an open
+pallet.  Every other removal is forced and never raises the open count, so
+a decision configuration is fixed by the set of pallets started so far, and
+one step opens a front pallet and drains the fronts of open pallets.
+
+The full configuration DAG (one vertex per vector of per-sequence removed
+counts, valued with its open-pallet count) and the bottleneck dynamic
+program over it, ``opt_bottleneck(ConfigurationDag(inst))``, stay as the
+oracle the search is checked against.  The configuration budget still bounds
+that grid product, for both routes, not the number of states visited.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
@@ -22,7 +30,7 @@ from .instance import (
     cut,
     is_open_pallet,
 )
-from .solutions import BinSolution, PalletSolution
+from .solutions import BinSolution, PalletSolution, transform
 
 DEFAULT_CONFIGURATION_BUDGET = 50_000_000
 INFINITY = math.inf
@@ -138,6 +146,17 @@ def val_threshold_oracle(dag) -> int | float:
     return r + 1
 
 
+def grid_size(inst: Instance, max_configurations: int = DEFAULT_CONFIGURATION_BUDGET) -> int:
+    """Number of configurations, prod(|q_i| + 1); raises BudgetError above the budget."""
+    count = 1
+    for seq in inst.sequences:
+        count *= len(seq) + 1
+        if count > max_configurations:
+            raise BudgetError(
+                f"state space too large: more than {max_configurations} configurations")
+    return count
+
+
 def open_delta(inst: Instance, index: PalletIndex, cfg: Configuration, j: int) -> int:
     """Open-count change when the next bin of sequence j is removed.
 
@@ -189,13 +208,7 @@ class ConfigurationDag:
         self.instance = inst
         self.index = index if index is not None else build_pallet_index(inst)
         self.limits = tuple(len(seq) for seq in inst.sequences)
-        count = 1
-        for limit in self.limits:
-            count *= limit + 1
-            if count > max_configurations:
-                raise BudgetError(
-                    f"state space too large: more than {max_configurations} configurations")
-        self.count = count
+        self.count = count = grid_size(inst, max_configurations)
         strides = []
         stride = 1
         for limit in reversed(self.limits):
@@ -269,25 +282,76 @@ def solve_min_places(
 ) -> tuple[int, BinSolution, PalletSolution]:
     """Minimum number of stack-up places over all processings, with witnesses.
 
-    Runs opt_bottleneck over the implicit configuration DAG; the witness path
-    is decoded into a bin solution and the pallet solution it induces.
+    A heap-ordered minimax search (Dijkstra with max in place of sum) over
+    decision configurations.  Each is keyed by the bitmask ``started`` of the
+    pallets opened so far: every queue stands past its longest prefix of
+    started pallets, and the open pallets are the started ones with a bin
+    still waiting.  A step opens one distinct front pallet t; the forced drain
+    after it only closes pallets, so the step peaks at the open count, plus
+    one when t has a second bin.  The pallet order read back from the
+    predecessor links is the pallet solution, and ``transform`` turns it into
+    the bin solution.  The budget bounds the grid product, as in
+    ConfigurationDag, before any search.
     """
-    dag = ConfigurationDag(inst, max_configurations=max_configurations)
-    result = opt_bottleneck(dag)
-    configs = [dag.decode(v) for v in result.path]
-    moves = []
-    for before, after in zip(configs, configs[1:]):
-        j = next(i for i, (a, b) in enumerate(zip(before, after)) if a != b)
-        moves.append((j, after[j]))
-    bin_solution = BinSolution(tuple(moves))
-    seen: set[int] = set()
+    grid_size(inst, max_configurations)
+    m = inst.m
+    full = (1 << m) - 1
+    # per queue and position p: the pallet bit of bin p, with a 0 sentinel
+    # past the end, and the bitmask of the pallets of bins p, p+1, ...
+    queue_bits = []
+    waiting = []
+    for seq in inst.sequences:
+        bits = [1 << t for t in seq] + [0]
+        masks = bits.copy()
+        for p in range(len(seq) - 1, -1, -1):
+            masks[p] |= masks[p + 1]
+        queue_bits.append(bits)
+        waiting.append(masks)
+    multi = sum(1 << t for t, count in enumerate(inst.bin_counts()) if count >= 2)
+    peak = {0: 0}
+    pred: dict[int, int] = {}
+    positions = {0: (0,) * inst.k}
+    heap = [0]  # entries are peak << m | started, cheapest peak first
+    while True:
+        entry = heapq.heappop(heap)
+        started = entry & full
+        if started == full:
+            break
+        cost = entry >> m
+        if cost > peak[started]:
+            continue  # superseded by a cheaper entry
+        pos = positions[started]
+        remaining = fronts = 0
+        for bits, masks, p in zip(queue_bits, waiting, pos):
+            remaining |= masks[p]
+            fronts |= bits[p]
+        open_count = (started & remaining).bit_count()
+        while fronts:
+            bit = fronts & -fronts
+            fronts ^= bit
+            step = open_count + 1 if multi & bit else open_count
+            value = cost if cost >= step else step
+            successor = started | bit
+            known = peak.get(successor)
+            if known is not None and known <= value:
+                continue
+            if known is None:
+                moved = []
+                for bits, p in zip(queue_bits, pos):
+                    while successor & bits[p]:
+                        p += 1
+                    moved.append(p)
+                positions[successor] = tuple(moved)
+            peak[successor] = value
+            pred[successor] = started
+            heapq.heappush(heap, value << m | successor)
     order = []
-    for j, pos in moves:
-        t = inst.sequences[j][pos - 1]
-        if t not in seen:
-            seen.add(t)
-            order.append(t)
-    return int(result.value), bin_solution, PalletSolution(tuple(order))
+    while started:
+        previous = pred[started]
+        order.append((started ^ previous).bit_length() - 1)
+        started = previous
+    pallet_solution = PalletSolution(tuple(reversed(order)))
+    return peak[full], transform(inst, pallet_solution), pallet_solution
 
 
 def prune_priority(inst: Instance, index: PalletIndex, cfg: Configuration) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from fifo_stackup import (
+    ConfigurationDag,
     DirectedPathDecomposition,
     Instance,
     PalletSolution,
@@ -204,11 +205,11 @@ def test_criterion_11_scaling_check():
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            solve_min_places(inst)
+            opt_bottleneck(ConfigurationDag(inst))
             best = min(best, time.perf_counter() - t0)
         constants.append(best / (N + 1) ** 2)
     band = max(constants) / min(constants)
     elapsed = time.monotonic() - started
     assert band < 4.0, constants
     assert elapsed < 300.0
-    report(11, f"dp time fits the (N+1)^2 model within a {band:.2f}x band in {elapsed:.1f}s")
+    report(11, f"grid dp time fits the (N+1)^2 model within a {band:.2f}x band in {elapsed:.1f}s")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,18 @@ class TestSolve:
         bad.write_text("seq 1: a\nseq 2:\n")
         assert main(["solve", "--min", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_reads_utf8_under_ascii_locale(self, tmp_path):
+        path = tmp_path / "cafe.fsu"
+        path.write_bytes(("# café\n" + TWO_QUEUE_TEXT).encode("utf-8"))
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", "from fifo_stackup.cli import entry; entry()",
+             "solve", "--min", str(path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "min places: 3" in done.stdout
 
 
 class TestTransform:
@@ -217,6 +233,26 @@ class TestBench:
         assert main(["bench", str(corpus)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1  # header only
+
+    def test_unreadable_file_is_a_row(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.fsu").write_text(TWO_QUEUE_TEXT)
+        (corpus / "b.fsu").write_text("seq 1: a\nseq 2:\n")
+        (corpus / "c.fsu").write_text(THREE_QUEUE_TEXT)
+        assert main(["bench", str(corpus), "--methods", "dp,pallet-bf", "--json"]) == 2
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)
+        assert [(row["instance"], row["method"]) for row in rows] == [
+            (name, method) for name in ("a.fsu", "b.fsu", "c.fsu")
+            for method in ("dp", "pallet-bf")]
+        for row in rows:
+            if row["instance"] == "b.fsu":
+                assert row["value"] is None and row["status"].startswith("error: line 2")
+            else:
+                assert row["status"] == "ok"
+        assert {row["value"] for row in rows if row["instance"] == "a.fsu"} == {3}
+        assert "could not read b.fsu" in captured.err
 
     def test_unknown_method(self, tmp_path, capsys):
         corpus = tmp_path / "c"

@@ -6,17 +6,23 @@ from fifo_stackup import (
     BudgetError,
     ConfigurationDag,
     ExplicitDag,
+    GenSpec,
     Instance,
     SplitMix64,
     build_pallet_index,
+    build_sequence_graph,
     cut,
+    dpw_exact,
+    generate_instance,
     open_delta,
+    opening_order,
     opt_bottleneck,
     prune_priority,
     replay,
     solve_min_places,
     val_threshold_oracle,
 )
+from fifo_stackup.processing import grid_size
 
 from conftest import random_dag, random_fifo_order, small_instance
 
@@ -200,6 +206,42 @@ class TestSolveMinPlaces:
 
         inst = tiny_instance(seed, min_bins=1)
         assert solve_min_places(inst)[0] == brute_force_bin_orders(inst)
+
+
+def crosscheck_instance(seed):
+    """Seeded instance with 1..6 queues; odd seed blocks allow single-bin pallets."""
+    k = 1 + seed % 6
+    min_bins = 1 + seed // 6 % 2
+    rng = SplitMix64(seed * 7919 + 11)
+    spec = GenSpec(pallets=max(3, k) + rng.below(3), queues=k,
+                   min_bins=min_bins, max_bins=3, seed=seed)
+    return generate_instance(spec)
+
+
+class TestDecisionSearch:
+    """The decision-configuration search against the grid DP it replaces."""
+
+    @pytest.mark.parametrize("seed", range(240))
+    def test_matches_grid_dp(self, seed):
+        inst = crosscheck_instance(seed)
+        assert inst.k == 1 + seed % 6
+        places, bin_solution, pallet_solution = solve_min_places(inst)
+        assert places == opt_bottleneck(ConfigurationDag(inst)).value
+        report = replay(inst, bin_solution)
+        assert report.valid and report.max_open == places
+        assert pallet_solution == opening_order(inst, bin_solution)
+
+    def test_single_bin_pallets_are_covered(self):
+        assert sum(1 in crosscheck_instance(seed).bin_counts() for seed in range(240)) >= 50
+
+    def test_large_six_queue_grid(self):
+        inst = generate_instance(GenSpec(pallets=16, queues=6, min_bins=3, max_bins=4, seed=1))
+        assert inst.k == 6 and inst.m <= 16
+        assert grid_size(inst, 10**9) > 500_000
+        places, bin_solution, _ = solve_min_places(inst)
+        assert places == dpw_exact(build_sequence_graph(inst)).width + 1
+        report = replay(inst, bin_solution)
+        assert report.valid and report.max_open == places
 
 
 class TestPrunePriority:
