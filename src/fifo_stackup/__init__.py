@@ -67,7 +67,6 @@ from .seqgraph import (
 )
 from .pathwidth import (
     DpwResult,
-    decide_dpw,
     dpw_brute_force,
     dpw_exact,
     dpw_via_stackup,
@@ -105,7 +104,6 @@ __all__ = [
     "brute_force_bin_orders",
     "brute_force_pallet_orders",
     "cut",
-    "decide_dpw",
     "decomposition_to_dot",
     "decomposition_to_processing",
     "digraph_to_dot",

@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import (
@@ -65,43 +65,28 @@ class SolveReport:
     time_seconds: float
 
     def to_json(self) -> str:
-        payload = {
-            "instance": self.instance,
-            "method": self.method,
-            "min_places": self.min_places,
-            "pallet_solution": list(self.pallet_solution) if self.pallet_solution is not None else None,
-            "bin_solution": [list(move) for move in self.bin_solution] if self.bin_solution is not None else None,
-            "max_open": self.max_open,
-            "open_trace": list(self.open_trace) if self.open_trace is not None else None,
-            "time_seconds": self.time_seconds,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SolveReport":
         payload = json.loads(text)
-        return cls(
-            instance=payload["instance"],
-            method=payload["method"],
-            min_places=payload["min_places"],
-            pallet_solution=tuple(payload["pallet_solution"]) if payload["pallet_solution"] is not None else None,
-            bin_solution=tuple(tuple(move) for move in payload["bin_solution"]) if payload["bin_solution"] is not None else None,
-            max_open=payload["max_open"],
-            open_trace=tuple(payload["open_trace"]) if payload["open_trace"] is not None else None,
-            time_seconds=payload["time_seconds"],
-        )
+        for key in ("pallet_solution", "bin_solution", "open_trace"):
+            if payload[key] is not None:
+                payload[key] = tuple(tuple(x) if isinstance(x, list) else x for x in payload[key])
+        return cls(**payload)
 
 
 def _format_moves(moves: tuple[tuple[int, int], ...]) -> str:
     return " ".join(f"q{j + 1}[{pos}]" for j, pos in moves)
 
 
-def _run_method(inst: Instance, name: str, args) -> SolveReport:
+def _run_method(inst: Instance, name: str, method: str, args) -> SolveReport:
+    """Solve by the named method; the single place where a solver is picked."""
     started = time.perf_counter()
-    if args.method == "dp":
+    if method == "dp":
         places, bin_solution, pallet_solution = solve_min_places(
             inst, max_configurations=args.budget)
-    elif args.method == "pallet-bf":
+    elif method == "pallet-bf":
         places, pallet_solution = brute_force_pallet_orders(
             inst, max_pallets=args.max_pallets)
         bin_solution = transform(inst, pallet_solution)
@@ -118,7 +103,7 @@ def _run_method(inst: Instance, name: str, args) -> SolveReport:
         max_open = trace = moves = symbols = None
     return SolveReport(
         instance=name,
-        method=args.method,
+        method=method,
         min_places=places,
         pallet_solution=symbols,
         bin_solution=moves,
@@ -130,25 +115,19 @@ def _run_method(inst: Instance, name: str, args) -> SolveReport:
 
 def _cmd_solve(args) -> int:
     inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
-    report = _run_method(inst, Path(args.instance).name, args)
-    if args.places is not None:
-        yes = report.min_places <= args.places
-        if args.json:
-            print(report.to_json())
-        else:
-            print("yes" if yes else "no")
-            if yes and report.pallet_solution is not None:
-                print(f"pallet solution: {','.join(report.pallet_solution)}")
-                print(f"bin solution: {_format_moves(report.bin_solution)}")
-        return 0 if yes else 1
+    report = _run_method(inst, Path(args.instance).name, args.method, args)
+    yes = args.places is None or report.min_places <= args.places
     if args.json:
         print(report.to_json())
     else:
-        print(f"min places: {report.min_places}")
-        if report.pallet_solution is not None:
+        if args.places is None:
+            print(f"min places: {report.min_places}")
+        else:
+            print("yes" if yes else "no")
+        if yes and report.pallet_solution is not None:
             print(f"pallet solution: {','.join(report.pallet_solution)}")
             print(f"bin solution: {_format_moves(report.bin_solution)}")
-    return 0
+    return 0 if yes else 1
 
 
 def _cmd_transform(args) -> int:
@@ -252,23 +231,17 @@ def _cmd_bench(args) -> int:
             continue
         values = {}
         for method in methods:
-            started = time.perf_counter()
             try:
-                if method == "dp":
-                    value, _, _ = solve_min_places(inst, max_configurations=args.budget)
-                elif method == "pallet-bf":
-                    value, _ = brute_force_pallet_orders(inst, max_pallets=args.max_pallets)
-                else:
-                    value = brute_force_bin_orders(inst, max_bins=args.max_bins)
-                status = "ok"
+                report = _run_method(inst, path.name, method, args)
+                value, seconds, status = report.min_places, report.time_seconds, "ok"
                 values[method] = value
             except BudgetError as exc:
-                value, status = None, f"skipped: {exc}"
+                value, seconds, status = None, 0.0, f"skipped: {exc}"
             rows.append({
                 "instance": path.name,
                 "method": method,
                 "value": value,
-                "time_seconds": round(time.perf_counter() - started, 6),
+                "time_seconds": round(seconds, 6),
                 "status": status,
             })
         if len(set(values.values())) > 1:

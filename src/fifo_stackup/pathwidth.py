@@ -120,11 +120,6 @@ def dpw_exact(graph: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dp
     return DpwResult(width, decomposition)
 
 
-def decide_dpw(graph: Digraph, w: int, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
-    """True when the graph has a directed path-decomposition of width at most w."""
-    return dpw_exact(graph, max_vertices=max_vertices).width <= w
-
-
 def search_decomposition_by_bags(graph: Digraph, width: int) -> DirectedPathDecomposition | None:
     """Definitional search for a decomposition of width at most ``width``.
 

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 from .errors import DigraphFormatError, InadmissibleDigraphError
 from .instance import SYMBOL_RE, Instance
-from .solutions import BinSolution, open_set_trace
+from .solutions import BinSolution, _Stepper, open_set_trace
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ class Digraph:
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the digraph text format: one ``<u> <v>`` arc per line, isolated
-    vertices declared as ``vertex <u>``, comments starting with ``#``."""
+    vertices declared as ``vertex <u>``, comments starting with ``#``.
+    ``vertex`` is reserved and cannot name a vertex."""
     arcs: list[tuple[str, str]] = []
     isolated: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -81,26 +82,28 @@ def parse_digraph(text: str) -> Digraph:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if len(tokens) == 2 and tokens[0] == "vertex":
-            name = tokens[1]
-            if SYMBOL_RE.fullmatch(name) is None:
-                raise DigraphFormatError(f"line {lineno}: illegal vertex name {name!r}")
-            isolated.append(name)
-            continue
         if len(tokens) != 2:
             raise DigraphFormatError(f"line {lineno}: expected '<u> <v>' or 'vertex <u>'")
         u, v = tokens
-        for name in (u, v):
+        for name in (v,) if u == "vertex" else (u, v):
             if SYMBOL_RE.fullmatch(name) is None:
                 raise DigraphFormatError(f"line {lineno}: illegal vertex name {name!r}")
-        if u == v:
+            if name == "vertex":
+                raise DigraphFormatError(f"line {lineno}: reserved vertex name 'vertex'")
+        if u == "vertex":
+            isolated.append(v)
+        elif u == v:
             raise DigraphFormatError(f"line {lineno}: self-loop at {u!r}")
-        arcs.append((u, v))
+        else:
+            arcs.append((u, v))
     return Digraph.from_named_arcs(arcs, isolated)
 
 
 def emit_digraph(graph: Digraph) -> str:
-    """Serialize a digraph in the format accepted by parse_digraph, sorted."""
+    """Serialize a digraph in the format accepted by parse_digraph, sorted;
+    a vertex named ``vertex``, which the format reserves, raises ValueError."""
+    if "vertex" in graph.names:
+        raise ValueError("vertex name 'vertex' is reserved in the digraph format")
     indeg, outdeg = graph.degrees()
     lines = [
         f"vertex {graph.names[v]}"
@@ -312,30 +315,13 @@ def decomposition_to_processing(inst: Instance, decomposition: DirectedPathDecom
             f"decomposition invalid for the sequence graph "
             f"({check.violation}, witness {check.witness!r})")
     alpha, _ = decomposition.intervals()
-    counts = inst.bin_counts()
-    positions = [0] * inst.k
-    removed = [0] * inst.m
-    moves: list[tuple[int, int]] = []
-    while len(moves) < inst.n:
-        chosen = None
-        fronts: list[tuple[int, int, int]] = []
-        for j, seq in enumerate(inst.sequences):
-            p = positions[j]
-            if p == len(seq):
-                continue
-            t = seq[p]
-            if 0 < removed[t] < counts[t]:
-                chosen = j
-                break
-            fronts.append((alpha[t], t, j))
-        if chosen is None:
-            _, _, chosen = min(fronts)
-        p = positions[chosen]
-        t = inst.sequences[chosen][p]
-        positions[chosen] = p + 1
-        removed[t] += 1
-        moves.append((chosen, p + 1))
-    return BinSolution(tuple(moves))
+    stepper = _Stepper(inst)
+    while True:
+        stepper.drain(stepper.open)
+        fronts = [(alpha[t], t, j) for j, t in stepper.fronts()]
+        if not fronts:
+            return BinSolution(tuple(stepper.moves))
+        stepper.remove(min(fronts)[2])
 
 
 def decomposition_to_dot(graph: Digraph, decomposition: DirectedPathDecomposition) -> str:

@@ -65,64 +65,83 @@ def _open_step(counts, removed, t) -> int:
     return 0
 
 
+class _Stepper:
+    """A processing in progress: queue positions, bins removed per pallet, the
+    open-pallet set and the moves made so far."""
+
+    def __init__(self, inst: Instance):
+        self.sequences = inst.sequences
+        self.counts = inst.bin_counts()
+        self.positions = [0] * inst.k
+        self.removed = [0] * inst.m
+        self.open: set[int] = set()
+        self.moves: list[tuple[int, int]] = []
+
+    def fronts(self) -> list[tuple[int, int]]:
+        """(queue, pallet) of every front bin."""
+        return [(j, seq[p]) for j, (seq, p) in enumerate(zip(self.sequences, self.positions))
+                if p < len(seq)]
+
+    def remove(self, j: int) -> int:
+        """Remove the front bin of queue j; returns its pallet."""
+        p = self.positions[j]
+        t = self.sequences[j][p]
+        self.positions[j] = p + 1
+        self.moves.append((j, p + 1))
+        self.removed[t] += 1
+        if self.removed[t] == self.counts[t]:
+            self.open.discard(t)
+        elif self.removed[t] == 1:
+            self.open.add(t)
+        return t
+
+    def drain(self, pallets) -> None:
+        """Remove front bins of the given pallets, lowest queue first.
+
+        Draining never adds to the set, so one pass over the queues suffices.
+        """
+        for j, seq in enumerate(self.sequences):
+            while self.positions[j] < len(seq) and seq[self.positions[j]] in pallets:
+                self.remove(j)
+
+    def follow(self, moves, observe) -> int | None:
+        """Make the given moves, calling ``observe()`` after each.
+
+        Returns None for a complete processing, else the index of the first
+        move that is not the next bin of its queue, or the move count when
+        bins were left unconsumed.
+        """
+        positions, sequences = self.positions, self.sequences
+        for step, (j, pos) in enumerate(moves):
+            if not (0 <= j < len(sequences) and pos == positions[j] + 1 <= len(sequences[j])):
+                return step
+            self.remove(j)
+            observe()
+        return len(moves) if self.fronts() else None
+
+
 def replay(inst: Instance, b_sol: BinSolution) -> ReplayReport:
     """Simulate a bin solution and report validity and the peak open count."""
-    counts = inst.bin_counts()
-    positions = [0] * inst.k
-    removed = [0] * inst.m
-    open_count = 0
+    stepper = _Stepper(inst)
     trace = [0]
-    for step, (j, pos) in enumerate(b_sol.moves):
-        if not 0 <= j < inst.k:
-            return ReplayReport(max(trace), tuple(trace), False, step)
-        seq = inst.sequences[j]
-        if positions[j] >= len(seq) or pos != positions[j] + 1:
-            return ReplayReport(max(trace), tuple(trace), False, step)
-        t = seq[positions[j]]
-        positions[j] += 1
-        removed[t] += 1
-        open_count += _open_step(counts, removed, t)
-        trace.append(open_count)
-    if any(p != len(seq) for p, seq in zip(positions, inst.sequences)):
-        return ReplayReport(max(trace), tuple(trace), False, len(b_sol.moves))
-    return ReplayReport(max(trace), tuple(trace), True, None)
+    violation = stepper.follow(b_sol.moves, lambda: trace.append(len(stepper.open)))
+    return ReplayReport(max(trace), tuple(trace), violation is None, violation)
 
 
 def open_set_trace(inst: Instance, b_sol: BinSolution) -> tuple[frozenset[int], ...]:
     """Open-pallet sets along a valid processing, initial configuration included."""
-    report = replay(inst, b_sol)
-    if not report.valid:
-        raise ValueError(f"invalid bin solution at move {report.first_violation}")
-    counts = inst.bin_counts()
-    positions = [0] * inst.k
-    removed = [0] * inst.m
-    open_set: set[int] = set()
+    stepper = _Stepper(inst)
     trace = [frozenset()]
-    for j, _ in b_sol.moves:
-        t = inst.sequences[j][positions[j]]
-        positions[j] += 1
-        removed[t] += 1
-        delta = _open_step(counts, removed, t)
-        if delta > 0:
-            open_set.add(t)
-        elif delta < 0:
-            open_set.discard(t)
-        trace.append(frozenset(open_set))
+    violation = stepper.follow(b_sol.moves, lambda: trace.append(frozenset(stepper.open)))
+    if violation is not None:
+        raise ValueError(f"invalid bin solution at move {violation}")
     return tuple(trace)
 
 
 def opening_order(inst: Instance, b_sol: BinSolution) -> PalletSolution:
     """Pallet solution induced by a bin solution: pallets by first removal."""
-    positions = [0] * inst.k
-    seen: set[int] = set()
-    order = []
-    for j, _ in b_sol.moves:
-        t = inst.sequences[j][positions[j]]
-        positions[j] += 1
-        if t not in seen:
-            seen.add(t)
-            order.append(t)
-    return PalletSolution(tuple(order))
+    stepper = _Stepper(inst)
+    return PalletSolution(tuple(dict.fromkeys(stepper.remove(j) for j, _ in b_sol.moves)))
 
 
 def transform(inst: Instance, t_sol: PalletSolution) -> BinSolution:
@@ -130,32 +149,19 @@ def transform(inst: Instance, t_sol: PalletSolution) -> BinSolution:
 
     Repeatedly removes the front bin of the lowest-indexed sequence whose
     front is destined for an already-opened pallet; when no front qualifies,
-    the next pallet of the order is opened.  Runs in O(n * k).
+    the next pallet of the order is opened.  Runs in O(n + m * k).
     """
+    stepper = _Stepper(inst)
+    opened: set[int] = set()
     for t in t_sol.order:
         if not 0 <= t < inst.m:
             raise ValueError(f"pallet id {t} out of range")
-    positions = [0] * inst.k
-    opened = set(t_sol.order[:1])
-    cursor = 1
-    moves: list[tuple[int, int]] = []
-    while len(moves) < inst.n:
-        progressed = False
-        for j, seq in enumerate(inst.sequences):
-            p = positions[j]
-            if p < len(seq) and seq[p] in opened:
-                moves.append((j, p + 1))
-                positions[j] = p + 1
-                progressed = True
-                break
-        if progressed:
-            continue
-        if cursor >= len(t_sol.order):
-            raise TransformStuckError(
-                "stuck: no front bin matches the opened prefix and no pallets remain")
-        opened.add(t_sol.order[cursor])
-        cursor += 1
-    return BinSolution(tuple(moves))
+        opened.add(t)
+        stepper.drain(opened)
+    if stepper.fronts():
+        raise TransformStuckError(
+            "stuck: no front bin matches the opened prefix and no pallets remain")
+    return BinSolution(tuple(stepper.moves))
 
 
 def brute_force_pallet_orders(

@@ -110,10 +110,16 @@ class TestGraphCommands:
         assert main(["seqgraph", "--dot", three_queue_path]) == 0
         assert capsys.readouterr().out == first
 
-    def test_seqgraph_plain_is_parseable(self, two_queue_path, capsys):
+    def test_seqgraph_plain_is_parseable(self, two_queue_path, tmp_path, capsys):
         assert main(["seqgraph", two_queue_path]) == 0
         graph = parse_digraph(capsys.readouterr().out)
         assert set(graph.names) == set("abcde")
+        # a pallet named like the isolated-vertex keyword cannot be written
+        reserved = tmp_path / "reserved.fsu"
+        reserved.write_text("seq 1: vertex b vertex b\n")
+        assert main(["seqgraph", str(reserved)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "reserved" in captured.err
 
     def test_reduce(self, ring_digraph_path, capsys):
         assert main(["reduce", ring_digraph_path]) == 0

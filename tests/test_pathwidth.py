@@ -4,7 +4,6 @@ from fifo_stackup import (
     BudgetError,
     Digraph,
     SplitMix64,
-    decide_dpw,
     dpw_brute_force,
     dpw_exact,
     dpw_via_stackup,
@@ -115,14 +114,14 @@ class TestSymmetricCorrespondence:
 class TestDecide:
     def test_single_arc(self):
         graph = Digraph.from_named_arcs([("a", "b")])
-        assert decide_dpw(graph, 0)
+        assert dpw_exact(graph).width <= 0
 
     def test_triangle_width_one_false(self):
-        assert not decide_dpw(sym_clique(3), 1)
+        assert not (dpw_exact(sym_clique(3)).width <= 1)
 
     def test_single_bag_bound(self):
         graph = sym_clique(4)
-        assert decide_dpw(graph, graph.vertex_count - 1)
+        assert dpw_exact(graph).width <= graph.vertex_count - 1
 
 
 class TestDpwViaStackup:

@@ -261,6 +261,11 @@ class TestDigraphIO:
         with pytest.raises(DigraphFormatError, match="line 2"):
             parse_digraph("a b\na b c\n")
 
+    @pytest.mark.parametrize("text", ["a b\nvertex vertex\n", "a b\na vertex\n"])
+    def test_parse_rejects_reserved_name(self, text):
+        with pytest.raises(DigraphFormatError, match="line 2: reserved vertex name 'vertex'"):
+            parse_digraph(text)
+
     def test_duplicate_arcs_collapse(self):
         graph = parse_digraph("a b\na b\n")
         assert len(graph.arcs) == 1

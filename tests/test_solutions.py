@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,14 +6,18 @@ import pytest
 from fifo_stackup import (
     BinSolution,
     BudgetError,
+    GenSpec,
     Instance,
     PalletSolution,
     SplitMix64,
     TransformStuckError,
     brute_force_bin_orders,
     brute_force_pallet_orders,
+    decomposition_to_processing,
+    generate_instance,
     open_set_trace,
     opening_order,
+    processing_to_decomposition,
     replay,
     solve_min_places,
     transform,
@@ -201,3 +206,50 @@ class TestAutoRemovalIndifference:
                 report = replay(inst, BinSolution(tuple(swapped)))
                 assert report.valid
                 assert report.max_open == baseline
+
+
+# SHA-256 of every output of the processing simulations over the seeded
+# corpus of TestSimulationOutputsPinned; any change to a move, a trace or a
+# violation index changes it.
+SIMULATION_OUTPUTS_SHA256 = "cc65a2539536ecabffc79efc7719ad331da9f8a20ab3daa394f4d4a332761c2e"
+
+
+class TestSimulationOutputsPinned:
+    def test_outputs_unchanged(self):
+        """transform, replay, open_set_trace, opening_order and
+        decomposition_to_processing give exactly the pinned outputs."""
+        digest = hashlib.sha256()
+
+        def record(*items):
+            digest.update(repr(items).encode())
+
+        def sets(trace):
+            return tuple(tuple(sorted(s)) for s in trace)
+
+        for seed in range(240):
+            k = 1 + seed % 6
+            min_bins = 1 + (seed // 6) % 2
+            spec = GenSpec(pallets=k + (seed // 12) % 4, queues=k, min_bins=min_bins,
+                           max_bins=min_bins + 2, seed=seed)
+            inst = generate_instance(spec)
+            rng = SplitMix64(seed + 4242)
+            random_bins = BinSolution(random_fifo_order(inst, rng))
+            shuffled = list(range(inst.m))
+            rng.shuffle(shuffled)
+            for t_sol in (opening_order(inst, random_bins), PalletSolution(tuple(shuffled))):
+                b_sol = transform(inst, t_sol)
+                record(seed, t_sol.order, b_sol.moves, replay(inst, b_sol),
+                       sets(open_set_trace(inst, b_sol)), opening_order(inst, b_sol).order)
+                with pytest.raises(TransformStuckError) as stuck:
+                    transform(inst, PalletSolution(t_sol.order[:-1]))
+                record("stuck", str(stuck.value))
+            moves = random_bins.moves
+            truncated = BinSolution(moves[: len(moves) // 2])
+            reordered = BinSolution(moves[1:] + moves[:1])
+            record(replay(inst, random_bins), sets(open_set_trace(inst, random_bins)),
+                   opening_order(inst, random_bins).order, replay(inst, truncated),
+                   opening_order(inst, truncated).order, replay(inst, reordered))
+            if min(inst.bin_counts()) >= 2:
+                decomposition = processing_to_decomposition(inst, random_bins)
+                record(decomposition_to_processing(inst, decomposition).moves)
+        assert digest.hexdigest() == SIMULATION_OUTPUTS_SHA256
