@@ -1,18 +1,20 @@
 """Exact solvers for the FIFO stack-up problem and the directed pathwidth of
 its sequence graphs: a minimax search over decision configurations (the
-paper's processing graph), brute-force baselines, graph reductions, and
-decomposition bridges in both directions.
+paper's processing graph), a level-ordered search over placed-vertex sets,
+graph reductions, and decomposition bridges in both directions.
 
-The bottleneck dynamic program over the whole configuration grid
-(``opt_bottleneck(ConfigurationDag(inst))``) remains as the oracle for
-``solve_min_places``; the configuration budget bounds that grid product, not
-the number of states the search visits."""
+The oracles the solvers are checked against (the bottleneck dynamic program
+over the whole configuration grid, the brute forces, the subset-table and
+definitional pathwidth searches) are in ``fifo_stackup.oracles``, which this
+package does not import.  The configuration budget bounds the grid product,
+not the number of states the search visits."""
 
 from .errors import (
     BudgetError,
     DigraphFormatError,
     InadmissibleDigraphError,
     InstanceFormatError,
+    InternalError,
     TransformStuckError,
 )
 from .instance import (
@@ -28,22 +30,11 @@ from .instance import (
     parse_instance,
     validate,
 )
-from .processing import (
-    ConfigurationDag,
-    DpResult,
-    ExplicitDag,
-    open_delta,
-    opt_bottleneck,
-    prune_priority,
-    solve_min_places,
-    val_threshold_oracle,
-)
+from .processing import solve_min_places
 from .solutions import (
     BinSolution,
     PalletSolution,
     ReplayReport,
-    brute_force_bin_orders,
-    brute_force_pallet_orders,
     open_set_trace,
     opening_order,
     replay,
@@ -65,13 +56,7 @@ from .seqgraph import (
     strip_endpoints,
     validate_decomposition,
 )
-from .pathwidth import (
-    DpwResult,
-    dpw_brute_force,
-    dpw_exact,
-    dpw_via_stackup,
-    search_decomposition_by_bags,
-)
+from .pathwidth import DpwResult, dpw_exact, dpw_via_stackup
 from .generate import GenSpec, SplitMix64, generate_instance, random_admissible_digraph
 
 __version__ = "0.1.0"
@@ -80,18 +65,16 @@ __all__ = [
     "BinSolution",
     "BudgetError",
     "Configuration",
-    "ConfigurationDag",
     "DecompositionCheck",
     "Digraph",
     "DigraphFormatError",
     "DirectedPathDecomposition",
-    "DpResult",
     "DpwResult",
-    "ExplicitDag",
     "GenSpec",
     "InadmissibleDigraphError",
     "Instance",
     "InstanceFormatError",
+    "InternalError",
     "PalletIndex",
     "PalletSolution",
     "ReplayReport",
@@ -101,13 +84,10 @@ __all__ = [
     "admissibility_violations",
     "build_pallet_index",
     "build_sequence_graph",
-    "brute_force_bin_orders",
-    "brute_force_pallet_orders",
     "cut",
     "decomposition_to_dot",
     "decomposition_to_processing",
     "digraph_to_dot",
-    "dpw_brute_force",
     "dpw_exact",
     "dpw_via_stackup",
     "emit_digraph",
@@ -115,22 +95,17 @@ __all__ = [
     "front",
     "generate_instance",
     "is_open_pallet",
-    "open_delta",
     "open_set_trace",
     "opening_order",
-    "opt_bottleneck",
     "parse_digraph",
     "parse_instance",
     "processing_to_decomposition",
-    "prune_priority",
     "random_admissible_digraph",
     "reduce_digraph_to_queues",
     "replay",
-    "search_decomposition_by_bags",
     "solve_min_places",
     "strip_endpoints",
     "transform",
-    "val_threshold_oracle",
     "validate",
     "validate_decomposition",
 ]

@@ -1,7 +1,8 @@
 """Command-line interface: solve, transform, seqgraph, reduce, dpw, gen, bench.
 
 Exit codes: 0 for yes/success, 1 for a negative decision answer, 2 for any
-error (parse failures, budget guards, inadmissible inputs).
+error (parse failures, budget guards, inadmissible inputs), 3 for an internal
+fault (a solver's witness that fails its replay or certification).
 """
 
 from __future__ import annotations
@@ -19,9 +20,16 @@ from .errors import (
     DigraphFormatError,
     InadmissibleDigraphError,
     InstanceFormatError,
+    InternalError,
     TransformStuckError,
 )
 from .instance import Instance, emit_instance, parse_instance, validate
+from .oracles import (
+    DEFAULT_MAX_BINS,
+    DEFAULT_MAX_PALLETS,
+    brute_force_bin_orders,
+    brute_force_pallet_orders,
+)
 from .pathwidth import DEFAULT_MAX_VERTICES, dpw_exact, dpw_via_stackup
 from .processing import DEFAULT_CONFIGURATION_BUDGET, solve_min_places
 from .seqgraph import (
@@ -33,15 +41,7 @@ from .seqgraph import (
     reduce_digraph_to_queues,
     strip_endpoints,
 )
-from .solutions import (
-    DEFAULT_MAX_BINS,
-    DEFAULT_MAX_PALLETS,
-    PalletSolution,
-    brute_force_bin_orders,
-    brute_force_pallet_orders,
-    replay,
-    transform,
-)
+from .solutions import PalletSolution, replay, transform
 from .generate import GenSpec, generate_instance, random_admissible_digraph
 
 METHODS = ("dp", "pallet-bf", "bin-bf")
@@ -81,7 +81,11 @@ def _format_moves(moves: tuple[tuple[int, int], ...]) -> str:
 
 
 def _run_method(inst: Instance, name: str, method: str, args) -> SolveReport:
-    """Solve by the named method; the single place where a solver is picked."""
+    """Solve by the named method; the single place where a solver is picked.
+
+    A witness is replayed, and one that is not a complete processing peaking
+    at the reported place count raises InternalError.
+    """
     started = time.perf_counter()
     if method == "dp":
         places, bin_solution, pallet_solution = solve_min_places(
@@ -96,6 +100,10 @@ def _run_method(inst: Instance, name: str, method: str, args) -> SolveReport:
     elapsed = time.perf_counter() - started
     if bin_solution is not None:
         report = replay(inst, bin_solution)
+        if not report.valid or report.max_open != places:
+            raise InternalError(
+                f"{method} witness replays as valid={report.valid} with max_open "
+                f"{report.max_open}, but the solver reported {places} places")
         max_open, trace = report.max_open, report.open_trace
         moves = bin_solution.moves
         symbols = pallet_solution.to_symbols(inst)
@@ -220,6 +228,7 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"unknown method {method!r}")
     rows = []
     errors = []
+    internal = False
     for path in corpus:
         try:
             inst = parse_instance(path.read_text(encoding="utf-8"))
@@ -237,6 +246,10 @@ def _cmd_bench(args) -> int:
                 values[method] = value
             except BudgetError as exc:
                 value, seconds, status = None, 0.0, f"skipped: {exc}"
+            except InternalError as exc:
+                value, seconds, status = None, 0.0, f"error: internal error: {exc}"
+                errors.append(f"internal error on {path.name} by {method}: {exc}")
+                internal = True
             rows.append({
                 "instance": path.name,
                 "method": method,
@@ -257,7 +270,7 @@ def _cmd_bench(args) -> int:
                              row["time_seconds"], row["status"]])
     for line in errors:
         print(f"error: {line}", file=sys.stderr)
-    return 2 if errors else 0
+    return 3 if internal else 2 if errors else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,6 +358,9 @@ def main(argv=None) -> int:
             InadmissibleDigraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -19,3 +19,7 @@ class TransformStuckError(RuntimeError):
 
 class InadmissibleDigraphError(ValueError):
     """Raised when a digraph violates the degree requirements of the queue reduction."""
+
+
+class InternalError(AssertionError):
+    """Raised when a solver's own witness fails its replay or certification."""

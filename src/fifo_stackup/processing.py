@@ -8,142 +8,23 @@ one step opens a front pallet and drains the fronts of open pallets.
 
 The full configuration DAG (one vertex per vector of per-sequence removed
 counts, valued with its open-pallet count) and the bottleneck dynamic
-program over it, ``opt_bottleneck(ConfigurationDag(inst))``, stay as the
-oracle the search is checked against.  The configuration budget still bounds
-that grid product, for both routes, not the number of states visited.
+program over it, ``opt_bottleneck(ConfigurationDag(inst))``, are the oracle
+the search is checked against; they live in ``fifo_stackup.oracles``.  The
+configuration budget bounds that grid product, for both routes, not the
+number of states visited.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
 
 from .errors import BudgetError
-from .instance import (
-    Configuration,
-    Instance,
-    PalletIndex,
-    build_pallet_index,
-    check_configuration,
-    cut,
-    is_open_pallet,
-)
+# build_pallet_index stays a module attribute: perfbench/spans.py wraps
+# fifo_stackup.processing.build_pallet_index in traced runs.
+from .instance import Instance, build_pallet_index  # noqa: F401
 from .solutions import BinSolution, PalletSolution, transform
 
 DEFAULT_CONFIGURATION_BUDGET = 50_000_000
-INFINITY = math.inf
-
-
-@dataclass(frozen=True)
-class DpResult:
-    """Bottleneck value at the target plus one witness source-to-target path."""
-
-    value: int | float
-    path: tuple[Hashable, ...]
-
-
-class ExplicitDag:
-    """Small in-memory DAG in the shape opt_bottleneck expects.
-
-    ``vertices`` must be listed in a topological order; arcs are checked
-    against it.
-    """
-
-    def __init__(self, vertices, arcs, values, source, target):
-        self.vertices = list(vertices)
-        position = {v: i for i, v in enumerate(self.vertices)}
-        self.values = dict(values)
-        self.source = source
-        self.target = target
-        self._preds: dict[Hashable, list] = {v: [] for v in self.vertices}
-        for u, v in arcs:
-            if position[u] >= position[v]:
-                raise ValueError(f"arc {(u, v)} violates the given vertex order")
-            self._preds[v].append(u)
-
-    def topological_vertices(self) -> Iterator:
-        return iter(self.vertices)
-
-    def predecessors(self, v) -> Iterable:
-        return self._preds[v]
-
-    def value(self, v) -> int:
-        return self.values[v]
-
-
-def opt_bottleneck(dag) -> DpResult:
-    """Minimize, over source-to-target paths, the maximum vertex value.
-
-    Runs one pass over the vertices in topological order; for each vertex the
-    smallest predecessor value is kept (ties to the first predecessor
-    enumerated) and then raised to the vertex's own value.  Unreachable
-    targets yield an infinite value and an empty path.
-    """
-    source, target = dag.source, dag.target
-    val: dict[Hashable, int | float] = {source: dag.value(source)}
-    pred: dict[Hashable, Hashable] = {}
-    for v in dag.topological_vertices():
-        if v == source:
-            continue
-        best = INFINITY
-        best_pred = None
-        for u in dag.predecessors(v):
-            candidate = val.get(u, INFINITY)
-            if candidate < best:
-                best = candidate
-                best_pred = u
-        if best_pred is not None:
-            pred[v] = best_pred
-        fv = dag.value(v)
-        val[v] = fv if fv > best else best
-    answer = val.get(target, INFINITY)
-    if answer == INFINITY:
-        return DpResult(INFINITY, ())
-    path = [target]
-    while path[-1] != source:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return DpResult(answer, tuple(path))
-
-
-def val_threshold_oracle(dag) -> int | float:
-    """Bottleneck value by repeated threshold deletion.
-
-    Starting from the maximum vertex value r, repeatedly delete every vertex
-    valued >= r and decrement r while a source-to-target path survives; the
-    answer is r + 1.  Kept deliberately independent of opt_bottleneck as a
-    cross-check.
-    """
-    vertices = list(dag.topological_vertices())
-    preds = {v: tuple(dag.predecessors(v)) for v in vertices}
-    values = {v: dag.value(v) for v in vertices}
-    removed: set[Hashable] = set()
-    source, target = dag.source, dag.target
-
-    def has_path() -> bool:
-        if source in removed or target in removed:
-            return False
-        seen = {target}
-        stack = [target]
-        while stack:
-            v = stack.pop()
-            if v == source:
-                return True
-            for u in preds[v]:
-                if u not in removed and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return False
-
-    if not has_path():
-        return INFINITY
-    r = max(values.values())
-    while has_path():
-        removed.update(v for v in vertices if v not in removed and values[v] >= r)
-        r -= 1
-    return r + 1
 
 
 def grid_size(inst: Instance, max_configurations: int = DEFAULT_CONFIGURATION_BUDGET) -> int:
@@ -155,126 +36,6 @@ def grid_size(inst: Instance, max_configurations: int = DEFAULT_CONFIGURATION_BU
             raise BudgetError(
                 f"state space too large: more than {max_configurations} configurations")
     return count
-
-
-def open_delta(inst: Instance, index: PalletIndex, cfg: Configuration, j: int) -> int:
-    """Open-count change when the next bin of sequence j is removed.
-
-    Evaluates in O(k) from the first/last tables: +1 when the removed bin is
-    the first of its pallet anywhere, -1 when it is the last anywhere, else 0
-    (both at once happens only for single-bin pallets, which never open).
-    """
-    seq = inst.sequences[j]
-    i_j = cfg[j]
-    if i_j >= len(seq):
-        raise ValueError(f"sequence {j} is exhausted")
-    t = seq[i_j]
-    first, last = index.first[t], index.last[t]
-    opened = first[j] == i_j + 1
-    closed = last[j] == i_j + 1
-    if opened:
-        for ell, count in enumerate(cfg):
-            if ell != j and first[ell] <= count:
-                opened = False
-                break
-    if closed:
-        for ell, count in enumerate(cfg):
-            if ell != j and last[ell] > count:
-                closed = False
-                break
-    if opened and not closed:
-        return 1
-    if closed and not opened:
-        return -1
-    return 0
-
-
-class ConfigurationDag:
-    """The implicit configuration DAG of an instance.
-
-    Vertices are mixed-radix encodings of configurations (last coordinate
-    fastest); predecessors are derived arithmetically by decrementing one
-    coordinate, so no arc list is ever materialized.  Vertex values are
-    open-pallet counts, computed incrementally via open_delta from one
-    predecessor per vertex.
-    """
-
-    def __init__(
-        self,
-        inst: Instance,
-        index: PalletIndex | None = None,
-        max_configurations: int = DEFAULT_CONFIGURATION_BUDGET,
-    ):
-        self.instance = inst
-        self.index = index if index is not None else build_pallet_index(inst)
-        self.limits = tuple(len(seq) for seq in inst.sequences)
-        self.count = count = grid_size(inst, max_configurations)
-        strides = []
-        stride = 1
-        for limit in reversed(self.limits):
-            strides.append(stride)
-            stride *= limit + 1
-        self.strides = tuple(reversed(strides))
-        self.source = 0
-        self.target = count - 1
-        self._values: dict[int, int] = {}
-
-    def encode(self, cfg: Configuration) -> int:
-        check_configuration(self.instance, cfg)
-        return sum(c * s for c, s in zip(cfg, self.strides))
-
-    def decode(self, v: int) -> Configuration:
-        digits = []
-        for stride in self.strides:
-            digit, v = divmod(v, stride)
-            digits.append(digit)
-        return tuple(digits)
-
-    def topological_vertices(self) -> Iterator[int]:
-        """All configurations by increasing coordinate sum, lexicographic within a layer."""
-        limits, strides = self.limits, self.strides
-        k = len(limits)
-        tail = [0] * (k + 1)
-        for j in range(k - 1, -1, -1):
-            tail[j] = tail[j + 1] + limits[j]
-
-        def emit(j: int, remaining: int, base: int) -> Iterator[int]:
-            if j == k:
-                yield base
-                return
-            cap = tail[j + 1]
-            low = remaining - cap if remaining > cap else 0
-            high = limits[j] if limits[j] < remaining else remaining
-            for digit in range(low, high + 1):
-                yield from emit(j + 1, remaining - digit, base + digit * strides[j])
-
-        for total in range(tail[0] + 1):
-            yield from emit(0, total, 0)
-
-    def predecessors(self, v: int) -> list[int]:
-        preds = []
-        rest = v
-        for stride in self.strides:
-            digit, rest = divmod(rest, stride)
-            if digit:
-                preds.append(v - stride)
-        return preds
-
-    def value(self, v: int) -> int:
-        cached = self._values.get(v)
-        if cached is not None:
-            return cached
-        if v == 0:
-            result = len(cut(self.instance, self.decode(0)))
-        else:
-            cfg = self.decode(v)
-            j = next(i for i, digit in enumerate(cfg) if digit)
-            previous = list(cfg)
-            previous[j] -= 1
-            result = self._values[v - self.strides[j]] + open_delta(
-                self.instance, self.index, tuple(previous), j)
-        self._values[v] = result
-        return result
 
 
 def solve_min_places(
@@ -352,22 +113,3 @@ def solve_min_places(
         started = previous
     pallet_solution = PalletSolution(tuple(reversed(order)))
     return peak[full], transform(inst, pallet_solution), pallet_solution
-
-
-def prune_priority(inst: Instance, index: PalletIndex, cfg: Configuration) -> tuple[int, ...]:
-    """Sequence indices worth exploring from a configuration.
-
-    When some front bin is destined for an open pallet, that removal is safe
-    and forced: only the lowest such sequence index is returned.  Otherwise
-    the configuration is a decision configuration and every nonempty sequence
-    qualifies.
-    """
-    check_configuration(inst, cfg)
-    eligible = [
-        j for j, (seq, count) in enumerate(zip(inst.sequences, cfg)) if count < len(seq)]
-    if not eligible:
-        raise ValueError("configuration is final")
-    for j in eligible:
-        if is_open_pallet(index, cfg, inst.sequences[j][cfg[j]]):
-            return (j,)
-    return tuple(eligible)

@@ -1,15 +1,12 @@
-"""Pallet and bin solutions, replay verification, and brute-force baselines."""
+"""Pallet and bin solutions, and the processing stepper behind replay verification."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BudgetError, TransformStuckError
+from .errors import TransformStuckError
 from .instance import Instance
-
-DEFAULT_MAX_PALLETS = 8
-DEFAULT_MAX_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,15 @@ def open_set_trace(inst: Instance, b_sol: BinSolution) -> tuple[frozenset[int], 
 
 
 def opening_order(inst: Instance, b_sol: BinSolution) -> PalletSolution:
-    """Pallet solution induced by a bin solution: pallets by first removal."""
+    """Pallet solution induced by a bin solution, or by a prefix of one:
+    pallets by first removal.  A move that is not the next bin of its queue
+    raises ValueError."""
     stepper = _Stepper(inst)
-    return PalletSolution(tuple(dict.fromkeys(stepper.remove(j) for j, _ in b_sol.moves)))
+    violation = stepper.follow(b_sol.moves, lambda: None)
+    if violation is not None and violation < len(b_sol.moves):
+        raise ValueError(f"invalid bin solution at move {violation}")
+    return PalletSolution(tuple(dict.fromkeys(
+        inst.sequences[j][pos - 1] for j, pos in stepper.moves)))
 
 
 def transform(inst: Instance, t_sol: PalletSolution) -> BinSolution:
@@ -162,103 +165,3 @@ def transform(inst: Instance, t_sol: PalletSolution) -> BinSolution:
         raise TransformStuckError(
             "stuck: no front bin matches the opened prefix and no pallets remain")
     return BinSolution(tuple(stepper.moves))
-
-
-def brute_force_pallet_orders(
-    inst: Instance, *, max_pallets: int = DEFAULT_MAX_PALLETS
-) -> tuple[int, PalletSolution]:
-    """Minimum places over all pallet orders, by exhaustive search.
-
-    Enumerates pallet permutations depth-first in ascending id order and
-    prunes any prefix whose partial peak already matches the incumbent; the
-    witness is therefore the lexicographically first optimal order.
-    """
-    m = inst.m
-    if m > max_pallets:
-        raise BudgetError(f"factorial budget exceeded: {m} pallets > limit {max_pallets}")
-    counts = inst.bin_counts()
-    sequences = inst.sequences
-    best = m + 2  # above any achievable peak
-    best_order: tuple[int, ...] | None = None
-
-    def consume(positions, removed, opened, open_count, peak):
-        # drain front bins of opened pallets, lowest sequence first
-        progressed = True
-        while progressed:
-            progressed = False
-            for j, seq in enumerate(sequences):
-                p = positions[j]
-                if p < len(seq) and seq[p] in opened:
-                    t = seq[p]
-                    positions[j] = p + 1
-                    removed[t] += 1
-                    open_count += _open_step(counts, removed, t)
-                    if open_count > peak:
-                        peak = open_count
-                    progressed = True
-                    break
-        return open_count, peak
-
-    def search(positions, removed, opened, order, open_count, peak):
-        nonlocal best, best_order
-        if peak >= best:
-            return
-        if len(order) == m:
-            best = peak
-            best_order = tuple(order)
-            return
-        for t in range(m):
-            if t in opened:
-                continue
-            next_positions = positions.copy()
-            next_removed = removed.copy()
-            opened.add(t)
-            order.append(t)
-            oc, pk = consume(next_positions, next_removed, opened, open_count, peak)
-            search(next_positions, next_removed, opened, order, oc, pk)
-            opened.discard(t)
-            order.pop()
-
-    search([0] * inst.k, [0] * m, set(), [], 0, 0)
-    assert best_order is not None
-    return best, PalletSolution(best_order)
-
-
-def brute_force_bin_orders(inst: Instance, *, max_bins: int = DEFAULT_MAX_BINS) -> int:
-    """Minimum places over all FIFO bin orders, by exhaustive enumeration.
-
-    This is the ground-truth oracle: it explores every interleaving of the
-    queues, tracking open counts directly, with no shared machinery beyond
-    the instance itself.
-    """
-    if inst.n > max_bins:
-        raise BudgetError(f"bin-order budget exceeded: {inst.n} bins > limit {max_bins}")
-    counts = inst.bin_counts()
-    sequences = inst.sequences
-    lengths = [len(seq) for seq in sequences]
-    positions = [0] * inst.k
-    removed = [0] * inst.m
-    n = inst.n
-    best = inst.m + 2
-
-    def search(done, open_count, peak):
-        nonlocal best
-        if peak >= best:
-            return
-        if done == n:
-            best = peak
-            return
-        for j in range(inst.k):
-            p = positions[j]
-            if p == lengths[j]:
-                continue
-            t = sequences[j][p]
-            positions[j] = p + 1
-            removed[t] += 1
-            oc = open_count + _open_step(counts, removed, t)
-            search(done + 1, oc, oc if oc > peak else peak)
-            positions[j] = p
-            removed[t] -= 1
-
-    search(0, 0, 0)
-    return best

@@ -92,7 +92,7 @@ def sym_clique(n):
 
 def random_dag(rng, max_vertices=10):
     """Random vertex-valued DAG with designated source and target."""
-    from fifo_stackup import ExplicitDag
+    from fifo_stackup.oracles import ExplicitDag
 
     n = 2 + rng.below(max_vertices - 1)
     arcs = []

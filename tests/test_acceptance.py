@@ -9,29 +9,31 @@ import time
 import pytest
 
 from fifo_stackup import (
-    ConfigurationDag,
     DirectedPathDecomposition,
     Instance,
     PalletSolution,
     SplitMix64,
     build_pallet_index,
     build_sequence_graph,
-    brute_force_bin_orders,
-    brute_force_pallet_orders,
     cut,
     decomposition_to_processing,
-    dpw_brute_force,
     dpw_exact,
-    open_delta,
-    opt_bottleneck,
     processing_to_decomposition,
     random_admissible_digraph,
     reduce_digraph_to_queues,
     replay,
     solve_min_places,
     transform,
-    val_threshold_oracle,
     validate_decomposition,
+)
+from fifo_stackup.oracles import (
+    ConfigurationDag,
+    brute_force_bin_orders,
+    brute_force_pallet_orders,
+    dpw_brute_force,
+    open_delta,
+    opt_bottleneck,
+    val_threshold_oracle,
 )
 from fifo_stackup.cli import main
 

@@ -189,7 +189,7 @@ class TestGen:
         assert "only one bin" in captured.err
 
     def test_single_queue_oracle_run(self, capsys):
-        from fifo_stackup import brute_force_bin_orders
+        from fifo_stackup.oracles import brute_force_bin_orders
 
         assert main(["gen", "--pallets", "3", "--queues", "1",
                      "--bins-per-pallet", "2:2", "--seed", "1"]) == 0
@@ -264,3 +264,51 @@ class TestBench:
         corpus = tmp_path / "c"
         corpus.mkdir()
         assert main(["bench", str(corpus), "--methods", "magic"]) == 2
+
+
+class TestInternalFaults:
+    """A witness that fails its own replay or certification is an internal
+    fault: exit 3 and one ``internal error:`` line, never an answer."""
+
+    @pytest.fixture
+    def short_witness(self, monkeypatch):
+        import fifo_stackup.cli as cli
+        from fifo_stackup import BinSolution
+
+        real = cli.solve_min_places
+
+        def dropping_last_move(inst, **kwargs):
+            places, bins, pallets = real(inst, **kwargs)
+            return places, BinSolution(bins.moves[:-1]), pallets
+
+        monkeypatch.setattr(cli, "solve_min_places", dropping_last_move)
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_solve_exits_3(self, short_witness, two_queue_path, extra, capsys):
+        assert main(["solve", "--min", *extra, two_queue_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: dp witness replays as valid=False")
+        assert "Traceback" not in captured.err
+
+    def test_bench_records_an_error_row(self, short_witness, two_queue_path, capsys):
+        corpus = Path(two_queue_path).parent
+        assert main(["bench", str(corpus), "--methods", "dp,pallet-bf", "--json"]) == 3
+        captured = capsys.readouterr()
+        rows = {row["method"]: row for row in json.loads(captured.out)}
+        assert rows["dp"]["value"] is None
+        assert rows["dp"]["status"].startswith("error: internal error:")
+        assert rows["pallet-bf"]["status"] == "ok"
+        assert "internal error on ex1.fsu by dp" in captured.err
+
+    def test_dpw_certification_failure_exits_3(self, monkeypatch, ring_digraph_path, capsys):
+        import fifo_stackup.pathwidth as pathwidth
+        from fifo_stackup import DecompositionCheck
+
+        monkeypatch.setattr(pathwidth, "validate_decomposition",
+                            lambda graph, decomposition: DecompositionCheck(False, violation="dpw-2"))
+        for method in ("subset", "stackup"):
+            assert main(["dpw", "--method", method, ring_digraph_path]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("internal error: witness decomposition failed")

@@ -3,22 +3,52 @@ import pytest
 from fifo_stackup import (
     BudgetError,
     Digraph,
+    GenSpec,
     SplitMix64,
-    dpw_brute_force,
+    build_sequence_graph,
     dpw_exact,
     dpw_via_stackup,
+    generate_instance,
     random_admissible_digraph,
-    search_decomposition_by_bags,
+    solve_min_places,
     validate_decomposition,
 )
+from fifo_stackup.oracles import dpw_brute_force, dpw_table, search_decomposition_by_bags
+from fifo_stackup.processing import DEFAULT_CONFIGURATION_BUDGET
 
 from conftest import sym_clique, sym_cycle, sym_path
 
 
-def random_digraph(rng, n):
+def random_digraph(rng, n, percent=35):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    arcs = frozenset(p for p in pairs if rng.below(100) < 35)
+    arcs = frozenset(p for p in pairs if rng.below(100) < percent)
     return Digraph(tuple(f"v{i}" for i in range(n)), arcs)
+
+
+def kernel_corpus():
+    """Seeded digraphs with 1 to 14 vertices: G(n, p) for p in 0.15, 0.3 and
+    0.6, complete, empty, bidirected path and random admissible (one family
+    with degree cap 3, one sparse enough for the stack-up route)."""
+    cases = []
+    for n in range(1, 15):
+        names = tuple(f"v{i}" for i in range(n))
+        for percent in (15, 30, 60):
+            graph = random_digraph(SplitMix64(n * 100 + percent), n, percent)
+            cases.append(pytest.param(graph, id=f"gnp{percent}-n{n}"))
+        complete = sym_clique(n) if n > 1 else Digraph(names, frozenset())
+        cases.append(pytest.param(complete, id=f"complete-n{n}"))
+        cases.append(pytest.param(Digraph(names, frozenset()), id=f"empty-n{n}"))
+        cases.append(pytest.param(sym_path(n), id=f"path-n{n}"))
+        if n >= 2:
+            cases.append(pytest.param(random_admissible_digraph(n, seed=n), id=f"admissible-n{n}"))
+            sparse = random_admissible_digraph(n, max_degree=2, extra_arc_attempts=2, seed=n)
+            cases.append(pytest.param(sparse, id=f"admissible-sparse-n{n}"))
+    return cases
+
+
+KERNEL_CORPUS = kernel_corpus()
+STACKUP_CORPUS = [case for case in KERNEL_CORPUS if case.id.startswith("admissible")
+                  and 3 ** len(case.values[0].arcs) <= DEFAULT_CONFIGURATION_BUDGET]
 
 
 class TestDpwExact:
@@ -32,8 +62,6 @@ class TestDpwExact:
         assert dpw_exact(sym_clique(3)).width == 2
 
     def test_three_queue_sample_graph(self, three_queue_instance):
-        from fifo_stackup import build_sequence_graph
-
         graph = build_sequence_graph(three_queue_instance)
         assert dpw_exact(graph).width == 1
 
@@ -57,6 +85,39 @@ class TestDpwExact:
         rng = SplitMix64(seed)
         graph = random_digraph(rng, 2 + rng.below(6))
         result = dpw_exact(graph)
+        check = validate_decomposition(graph, result.decomposition)
+        assert check.ok and check.width == result.width
+
+
+class TestLevelSearch:
+    """dpw_exact against the subset-table oracle, the definitional search and
+    the stack-up route, on a corpus that includes the classes where a search
+    could lose its pruning (dense and complete digraphs)."""
+
+    @pytest.mark.parametrize("graph", KERNEL_CORPUS)
+    def test_width_and_witness(self, graph):
+        result = dpw_exact(graph)
+        assert result.width == dpw_table(graph).width
+        if graph.vertex_count <= 6:
+            assert result.width == dpw_brute_force(graph).width
+        check = validate_decomposition(graph, result.decomposition)
+        assert check.ok and check.width == result.width
+        assert len(result.decomposition.bags) == graph.vertex_count
+
+    @pytest.mark.parametrize("graph", STACKUP_CORPUS)
+    def test_stackup_route_agrees(self, graph):
+        assert dpw_exact(graph).width == dpw_via_stackup(graph).width
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_sequence_graphs(self, seed):
+        """Sequence graphs of 12-14 pallets are dense (median arc density
+        about 0.6): the width equals the table's and the place count minus one."""
+        rng = SplitMix64(seed + 31)
+        spec = GenSpec(pallets=12 + seed % 3, queues=2 + rng.below(4), seed=rng.next_u64())
+        inst = generate_instance(spec)
+        graph = build_sequence_graph(inst)
+        result = dpw_exact(graph)
+        assert result.width == dpw_table(graph).width == solve_min_places(inst)[0] - 1
         check = validate_decomposition(graph, result.decomposition)
         assert check.ok and check.width == result.width
 

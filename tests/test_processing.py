@@ -4,8 +4,6 @@ import pytest
 
 from fifo_stackup import (
     BudgetError,
-    ConfigurationDag,
-    ExplicitDag,
     GenSpec,
     Instance,
     SplitMix64,
@@ -14,12 +12,16 @@ from fifo_stackup import (
     cut,
     dpw_exact,
     generate_instance,
-    open_delta,
     opening_order,
-    opt_bottleneck,
-    prune_priority,
     replay,
     solve_min_places,
+)
+from fifo_stackup.oracles import (
+    ConfigurationDag,
+    ExplicitDag,
+    open_delta,
+    opt_bottleneck,
+    prune_priority,
     val_threshold_oracle,
 )
 from fifo_stackup.processing import grid_size
@@ -201,7 +203,7 @@ class TestSolveMinPlaces:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_bin_order_oracle(self, seed):
-        from fifo_stackup import brute_force_bin_orders
+        from fifo_stackup.oracles import brute_force_bin_orders
         from conftest import tiny_instance
 
         inst = tiny_instance(seed, min_bins=1)

@@ -11,8 +11,6 @@ from fifo_stackup import (
     PalletSolution,
     SplitMix64,
     TransformStuckError,
-    brute_force_bin_orders,
-    brute_force_pallet_orders,
     decomposition_to_processing,
     generate_instance,
     open_set_trace,
@@ -22,6 +20,7 @@ from fifo_stackup import (
     solve_min_places,
     transform,
 )
+from fifo_stackup.oracles import brute_force_bin_orders, brute_force_pallet_orders
 
 from conftest import TWO_QUEUE_PROCESSING, THREE_QUEUE_PROCESSING, random_fifo_order, tiny_instance
 
@@ -119,6 +118,17 @@ class TestReplay:
     def test_open_set_trace_rejects_invalid(self, two_queue_instance):
         with pytest.raises(ValueError):
             open_set_trace(two_queue_instance, BinSolution(((1, 2),)))
+
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_opening_order_rejects_repeated_move(self, count):
+        inst = Instance.from_pallet_lists([list("aabb")])
+        with pytest.raises(ValueError, match="invalid bin solution at move 1"):
+            opening_order(inst, BinSolution(((0, 1),) * count))
+
+    def test_opening_order_of_a_prefix(self, two_queue_instance):
+        prefix = BinSolution(TWO_QUEUE_PROCESSING[:5])
+        assert opening_order(two_queue_instance, prefix).to_symbols(two_queue_instance) == (
+            "c", "d", "e", "a")
 
 
 class TestBruteForcePalletOrders:
