@@ -8,13 +8,12 @@ fault (a solver's witness that fails its replay or certification).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from ._record import Record
 from .errors import (
     BudgetError,
     DigraphFormatError,
@@ -24,14 +23,13 @@ from .errors import (
     TransformStuckError,
 )
 from .instance import Instance, emit_instance, parse_instance, validate
-from .oracles import (
+from .pathwidth import DEFAULT_MAX_VERTICES, dpw_exact, dpw_via_stackup
+from .processing import (
+    DEFAULT_CONFIGURATION_BUDGET,
     DEFAULT_MAX_BINS,
     DEFAULT_MAX_PALLETS,
-    brute_force_bin_orders,
-    brute_force_pallet_orders,
+    solve_min_places,
 )
-from .pathwidth import DEFAULT_MAX_VERTICES, dpw_exact, dpw_via_stackup
-from .processing import DEFAULT_CONFIGURATION_BUDGET, solve_min_places
 from .seqgraph import (
     build_sequence_graph,
     decomposition_to_dot,
@@ -42,13 +40,12 @@ from .seqgraph import (
     strip_endpoints,
 )
 from .solutions import PalletSolution, replay, transform
-from .generate import GenSpec, generate_instance, random_admissible_digraph
+# The oracles, the generators and csv are imported only by the commands that run them.
 
 METHODS = ("dp", "pallet-bf", "bin-bf")
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Solver outcome in a JSON-stable shape.
 
     ``bin_solution`` moves are (0-based sequence index, 1-based position)
@@ -65,7 +62,7 @@ class SolveReport:
     time_seconds: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SolveReport":
@@ -86,16 +83,18 @@ def _run_method(inst: Instance, name: str, method: str, args) -> SolveReport:
     A witness is replayed, and one that is not a complete processing peaking
     at the reported place count raises InternalError.
     """
+    if method != "dp":
+        from . import oracles
     started = time.perf_counter()
     if method == "dp":
         places, bin_solution, pallet_solution = solve_min_places(
             inst, max_configurations=args.budget)
     elif method == "pallet-bf":
-        places, pallet_solution = brute_force_pallet_orders(
+        places, pallet_solution = oracles.brute_force_pallet_orders(
             inst, max_pallets=args.max_pallets)
         bin_solution = transform(inst, pallet_solution)
     else:
-        places = brute_force_bin_orders(inst, max_bins=args.max_bins)
+        places = oracles.brute_force_bin_orders(inst, max_bins=args.max_bins)
         bin_solution = pallet_solution = None
     elapsed = time.perf_counter() - started
     if bin_solution is not None:
@@ -195,6 +194,8 @@ def _cmd_dpw(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import GenSpec, generate_instance, random_admissible_digraph
+
     if args.from_digraph:
         graph = random_admissible_digraph(
             args.vertices, max_degree=args.max_deg, seed=args.seed)
@@ -262,6 +263,8 @@ def _cmd_bench(args) -> int:
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["instance", "method", "value", "time_seconds", "status"])
         for row in rows:

@@ -7,8 +7,7 @@ or language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .instance import Instance
 from .seqgraph import Digraph
 
@@ -48,8 +47,7 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(Record):
     """Parameters for a random instance.
 
     ``min_bins`` defaults to 2 so every pallet can open; pass 1 explicitly to

@@ -14,9 +14,9 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
+from ._record import Record
 from .errors import InstanceFormatError
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -25,8 +25,7 @@ _SEQ_LINE_RE = re.compile(r"seq\s+(\d+)\s*:(.*)\Z")
 Configuration = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """k sequences of bins; each bin carries an interned pallet id.
 
     ``symbols[t]`` is the pallet symbol interned to id ``t``; interning is a
@@ -176,8 +175,7 @@ def cut(inst: Instance, cfg: Configuration) -> frozenset[int]:
     return frozenset(removed & remaining)
 
 
-@dataclass(frozen=True)
-class PalletIndex:
+class PalletIndex(Record):
     """First/last bin positions per pallet and sequence, 1-based.
 
     For a pallet ``t`` absent from sequence ``i``: ``first[t][i] == len + 1``
@@ -207,8 +205,7 @@ def is_open_pallet(index: PalletIndex, cfg: Configuration, t: int) -> bool:
     return started and pending
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     k: int
     m: int
     n: int

@@ -18,10 +18,10 @@ run code from here; every default route is checked against it in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Iterator
 from itertools import combinations
-from typing import Hashable, Iterable, Iterator
 
+from ._record import Record
 from .errors import BudgetError
 from .instance import (
     Configuration,
@@ -39,19 +39,21 @@ from .pathwidth import (
     _in_masks,
     _ordering_result,
 )
-from .processing import DEFAULT_CONFIGURATION_BUDGET, grid_size
+from .processing import (
+    DEFAULT_CONFIGURATION_BUDGET,
+    DEFAULT_MAX_BINS,
+    DEFAULT_MAX_PALLETS,
+    grid_size,
+)
 from .seqgraph import Digraph, DirectedPathDecomposition
-from .solutions import PalletSolution, _open_step
+from .solutions import PalletSolution
 
-DEFAULT_MAX_PALLETS = 8
-DEFAULT_MAX_BINS = 10
 INFINITY = math.inf
 
 
 # --- the configuration DAG and the bottleneck dynamic program ----------------
 
-@dataclass(frozen=True)
-class DpResult:
+class DpResult(Record):
     """Bottleneck value at the target plus one witness source-to-target path."""
 
     value: int | float
@@ -300,6 +302,17 @@ def prune_priority(inst: Instance, index: PalletIndex, cfg: Configuration) -> tu
 
 
 # --- brute force over pallet orders and bin interleavings --------------------
+
+def _open_step(counts, removed, t) -> int:
+    """Open-count change when one more bin of pallet t is removed."""
+    if counts[t] == 1:
+        return 0
+    if removed[t] == 1:
+        return 1
+    if removed[t] == counts[t]:
+        return -1
+    return 0
+
 
 def brute_force_pallet_orders(
     inst: Instance, *, max_pallets: int = DEFAULT_MAX_PALLETS

@@ -10,8 +10,7 @@ bag-sequence search that certify both live in ``fifo_stackup.oracles``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import BudgetError, InternalError
 from .processing import DEFAULT_CONFIGURATION_BUDGET, solve_min_places
 from .seqgraph import (
@@ -26,8 +25,7 @@ from .seqgraph import (
 DEFAULT_MAX_VERTICES = 16
 
 
-@dataclass(frozen=True)
-class DpwResult:
+class DpwResult(Record):
     """Directed pathwidth (-1 for the empty graph) plus a witness decomposition."""
 
     width: int

@@ -25,6 +25,10 @@ from .instance import Instance, build_pallet_index  # noqa: F401
 from .solutions import BinSolution, PalletSolution, transform
 
 DEFAULT_CONFIGURATION_BUDGET = 50_000_000
+# Guards of the brute forces in fifo_stackup.oracles, kept here so the CLI can
+# show them without loading the oracles.
+DEFAULT_MAX_PALLETS = 8
+DEFAULT_MAX_BINS = 10
 
 
 def grid_size(inst: Instance, max_configurations: int = DEFAULT_CONFIGURATION_BUDGET) -> int:

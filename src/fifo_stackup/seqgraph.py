@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
+from ._record import Record
 from .errors import DigraphFormatError, InadmissibleDigraphError
 from .instance import SYMBOL_RE, Instance
 from .solutions import BinSolution, _Stepper, open_set_trace
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """Directed graph with named, densely indexed vertices.
 
     Arcs are ordered index pairs; self-loops and parallel duplicates are
@@ -125,8 +124,7 @@ def digraph_to_dot(graph: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DirectedPathDecomposition:
+class DirectedPathDecomposition(Record):
     """Ordered bags of vertex indices; width is the largest bag size minus one."""
 
     bags: tuple[frozenset[int], ...]
@@ -155,8 +153,7 @@ class DirectedPathDecomposition:
         return DirectedPathDecomposition(tuple(bags))
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(Record):
     ok: bool
     width: int | None = None
     violation: str | None = None

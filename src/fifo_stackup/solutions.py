@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._record import Record
 from .errors import TransformStuckError
 from .instance import Instance
 
 
-@dataclass(frozen=True)
-class PalletSolution:
+class PalletSolution(Record):
     """Order in which pallets are opened, as interned pallet ids."""
 
     order: tuple[int, ...]
@@ -27,15 +26,13 @@ class PalletSolution:
         return tuple(inst.symbols[t] for t in self.order)
 
 
-@dataclass(frozen=True)
-class BinSolution:
+class BinSolution(Record):
     """Bin removal order as (sequence index, 1-based position) moves."""
 
     moves: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(Record):
     """Outcome of simulating a bin solution.
 
     ``open_trace`` holds the open-pallet count after each step, starting with
@@ -49,17 +46,6 @@ class ReplayReport:
     open_trace: tuple[int, ...]
     valid: bool
     first_violation: int | None = None
-
-
-def _open_step(counts, removed, t) -> int:
-    """Open-count change when one more bin of pallet t is removed."""
-    if counts[t] == 1:
-        return 0
-    if removed[t] == 1:
-        return 1
-    if removed[t] == counts[t]:
-        return -1
-    return 0
 
 
 class _Stepper:

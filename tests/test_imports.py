@@ -1,0 +1,124 @@
+"""Import hygiene: ``import fifo_stackup`` loads no submodule, and a CLI call
+loads only what its command runs.
+
+Each probe runs in a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1``, the
+setting under which every loaded module is compiled again on every call, and
+reports the modules it loaded beyond those the interpreter had already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fifo_stackup
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TWO_QUEUE_TEXT = "seq 1: a a b b\nseq 2: c d e c a d b e\n"
+
+# What the command line must not pull in unless the command runs it.
+HEAVY = ("dataclasses", "inspect", "typing", "csv", "fifo_stackup.oracles",
+         "fifo_stackup.generate")
+
+PUBLIC = {
+    "BinSolution", "BudgetError", "Configuration", "DecompositionCheck", "Digraph",
+    "DigraphFormatError", "DirectedPathDecomposition", "DpwResult", "GenSpec",
+    "InadmissibleDigraphError", "Instance", "InstanceFormatError", "InternalError",
+    "PalletIndex", "PalletSolution", "ReplayReport", "SplitMix64", "TransformStuckError",
+    "ValidationReport", "admissibility_violations", "build_pallet_index",
+    "build_sequence_graph", "cut", "decomposition_to_dot", "decomposition_to_processing",
+    "digraph_to_dot", "dpw_exact", "dpw_via_stackup", "emit_digraph", "emit_instance",
+    "front", "generate_instance", "is_open_pallet", "open_set_trace", "opening_order",
+    "parse_digraph", "parse_instance", "processing_to_decomposition",
+    "random_admissible_digraph", "reduce_digraph_to_queues", "replay", "solve_min_places",
+    "strip_endpoints", "transform", "validate", "validate_decomposition",
+}
+
+
+def probe(statements):
+    """Run the statements in a fresh interpreter; returns the modules they
+    loaded and their stdout."""
+    code = "\n".join([
+        "import sys",
+        "_before = set(sys.modules)",
+        *statements,
+        "print('\\n'.join(['--'] + sorted(set(sys.modules) - _before)))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    out, _, modules = done.stdout.rpartition("--\n")
+    return set(modules.split()), out
+
+
+def test_package_import_loads_no_submodule():
+    loaded, _ = probe(["import fifo_stackup"])
+    assert "fifo_stackup" in loaded
+    assert not {name for name in loaded if name.startswith("fifo_stackup.")}
+
+
+def test_cli_import_leaves_out_oracles_generators_and_dataclasses():
+    loaded, _ = probe(["import fifo_stackup.cli"])
+    assert "fifo_stackup.cli" in loaded
+    assert not loaded & set(HEAVY)
+
+
+@pytest.mark.parametrize("argv,needs", [
+    (["solve", "--min", "{path}"], ()),
+    (["solve", "-p", "3", "{path}"], ()),
+    (["solve", "--min", "--method", "pallet-bf", "{path}"], ("fifo_stackup.oracles",)),
+    (["solve", "--min", "--method", "bin-bf", "--max-bins", "12", "{path}"],
+     ("fifo_stackup.oracles",)),
+    (["gen"], ("fifo_stackup.generate",)),
+    (["bench", "{corpus}"], ("csv",)),
+    (["bench", "--json", "{corpus}"], ()),
+], ids=["solve", "decide", "pallet-bf", "bin-bf", "gen", "bench-csv", "bench-json"])
+def test_a_cli_call_loads_only_what_its_command_runs(tmp_path, argv, needs):
+    (tmp_path / "ex1.fsu").write_text(TWO_QUEUE_TEXT, encoding="utf-8")
+    files = {"path": str(tmp_path / "ex1.fsu"), "corpus": str(tmp_path)}
+    argv = [arg.format(**files) for arg in argv]
+    loaded, _ = probe(["from fifo_stackup.cli import main",
+                       f"_code = main({argv!r})",
+                       "assert _code == 0, _code"])
+    assert {name for name in HEAVY if name in loaded} == set(needs)
+
+
+def test_submodule_attributes_resolve_without_an_import():
+    loaded, out = probe([
+        "import fifo_stackup",
+        "print(fifo_stackup.processing.DEFAULT_CONFIGURATION_BUDGET)",
+    ])
+    assert out.split() == ["50000000"]
+    assert "fifo_stackup.processing" in loaded
+    assert "fifo_stackup.generate" not in loaded
+
+
+def test_all_lists_the_public_names():
+    assert set(fifo_stackup.__all__) == PUBLIC
+    assert len(fifo_stackup.__all__) == len(PUBLIC)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_every_public_name_resolves(name):
+    value = getattr(fifo_stackup, name)
+    namespace = {}
+    exec("from fifo_stackup import *", namespace)
+    assert namespace[name] is value
+    assert name in dir(fifo_stackup)
+
+
+def test_public_names_come_from_their_defining_module():
+    assert fifo_stackup.solve_min_places is fifo_stackup.processing.solve_min_places
+    assert fifo_stackup.Digraph is fifo_stackup.seqgraph.Digraph
+    assert fifo_stackup.GenSpec is fifo_stackup.generate.GenSpec
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(fifo_stackup, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from fifo_stackup import no_such_name", {})
+    assert "no_such_name" not in dir(fifo_stackup)
