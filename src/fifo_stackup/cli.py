@@ -222,6 +222,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if not Path(args.corpus).is_dir():
+        raise ValueError(f"corpus is not a directory: {args.corpus}")
     corpus = sorted(Path(args.corpus).glob("*.fsu"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for method in methods:

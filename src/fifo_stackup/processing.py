@@ -1,34 +1,35 @@
-"""Minimum stack-up places by a minimax search over decision configurations.
+"""Minimum stack-up places, and the minimax search under both exact solvers.
 
-``solve_min_places`` searches the paper's processing graph.  Its vertices are
-the *decision configurations*: those where no front bin belongs to an open
-pallet.  Every other removal is forced and never raises the open count, so
-a decision configuration is fixed by the set of pallets started so far, and
-one step opens a front pallet and drains the fronts of open pallets.
+``solve_min_places`` searches the paper's decision configurations: those
+where no front bin belongs to an open pallet.  Every other removal is forced
+and never raises the open count, so a decision configuration is fixed by the
+set S of pallets started so far, and one step opens a front pallet and
+drains the fronts of open pallets.  The pallets open at S are the boundary
+b(S) of S in the sequence graph, so the search is ``_minimax_order``, the
+one ``pathwidth.dpw_exact`` runs, restricted to front pallets.
 
-The full configuration DAG (one vertex per vector of per-sequence removed
-counts, valued with its open-pallet count) and the bottleneck dynamic
-program over it, ``opt_bottleneck(ConfigurationDag(inst))``, are the oracle
-the search is checked against; they live in ``fifo_stackup.oracles``.  The
-configuration budget bounds that grid product, for both routes, not the
-number of states visited.
+The oracle it is checked against, the bottleneck dynamic program over the
+whole configuration grid, ``opt_bottleneck(ConfigurationDag(inst))``, lives
+in ``fifo_stackup.oracles``.  The configuration budget bounds that grid
+product, not the number of states visited.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .errors import BudgetError
 # build_pallet_index stays a module attribute: perfbench/spans.py wraps
 # fifo_stackup.processing.build_pallet_index in traced runs.
 from .instance import Instance, build_pallet_index  # noqa: F401
-from .solutions import BinSolution, PalletSolution, transform
+from .solutions import BinSolution, PalletSolution, opening_order, transform
 
 DEFAULT_CONFIGURATION_BUDGET = 50_000_000
 # Guards of the brute forces in fifo_stackup.oracles, kept here so the CLI can
 # show them without loading the oracles.
 DEFAULT_MAX_PALLETS = 8
 DEFAULT_MAX_BINS = 10
+# Up to this many vertices the search marks sets in a byte table of 2^n
+# entries; above it, where zeroing the table costs more, in a dict.
+_BYTE_TABLE_MAX_VERTICES = 21
 
 
 def grid_size(inst: Instance, max_configurations: int = DEFAULT_CONFIGURATION_BUDGET) -> int:
@@ -47,73 +48,167 @@ def solve_min_places(
 ) -> tuple[int, BinSolution, PalletSolution]:
     """Minimum number of stack-up places over all processings, with witnesses.
 
-    A heap-ordered minimax search (Dijkstra with max in place of sum) over
-    decision configurations.  Each is keyed by the bitmask ``started`` of the
-    pallets opened so far: every queue stands past its longest prefix of
-    started pallets, and the open pallets are the started ones with a bin
-    still waiting.  A step opens one distinct front pallet t; the forced drain
-    after it only closes pallets, so the step peaks at the open count, plus
-    one when t has a second bin.  The pallet order read back from the
-    predecessor links is the pallet solution, and ``transform`` turns it into
-    the bin solution.  The budget bounds the grid product, as in
-    ConfigurationDag, before any search.
+    The search runs over the pallets with two or more bins; the in-neighbours
+    of t are those with a bin before a t-bin in some queue.  A one-bin pallet
+    never opens, and taking it from a front is forced like draining an open
+    pallet, so the one-bin pallets are placed from the start.  The
+    restriction walks each queue past the bins of placed pallets and allows
+    the front pallets.  ``transform`` turns the order found, after the
+    one-bin pallets, into the bin solution.  The budget bounds the grid
+    product, as in ConfigurationDag, before any search.
     """
     grid_size(inst, max_configurations)
-    m = inst.m
-    full = (1 << m) - 1
-    # per queue and position p: the pallet bit of bin p, with a 0 sentinel
-    # past the end, and the bitmask of the pallets of bins p, p+1, ...
-    queue_bits = []
-    waiting = []
+    singles = sum(1 << t for t, count in enumerate(inst.bin_counts()) if count == 1)
+    in_mask = [0] * inst.m
     for seq in inst.sequences:
-        bits = [1 << t for t in seq] + [0]
-        masks = bits.copy()
-        for p in range(len(seq) - 1, -1, -1):
-            masks[p] |= masks[p + 1]
-        queue_bits.append(bits)
-        waiting.append(masks)
-    multi = sum(1 << t for t, count in enumerate(inst.bin_counts()) if count >= 2)
-    peak = {0: 0}
-    pred: dict[int, int] = {}
-    positions = {0: (0,) * inst.k}
-    heap = [0]  # entries are peak << m | started, cheapest peak first
-    while True:
-        entry = heapq.heappop(heap)
-        started = entry & full
-        if started == full:
-            break
-        cost = entry >> m
-        if cost > peak[started]:
-            continue  # superseded by a cheaper entry
-        pos = positions[started]
-        remaining = fronts = 0
-        for bits, masks, p in zip(queue_bits, waiting, pos):
-            remaining |= masks[p]
+        seen = 0
+        for t in seq:
+            bit = 1 << t
+            if not singles & bit:
+                in_mask[t] |= seen & ~bit
+                seen |= bit
+    # per queue and position: the pallet bit of that bin, then a 0 sentinel
+    queue_bits = [[1 << t for t in seq] + [0] for seq in inst.sequences]
+
+    def advance(positions, placed):
+        fronts = 0
+        moved = []
+        for bits, p in zip(queue_bits, positions):
+            while placed & bits[p]:
+                p += 1
             fronts |= bits[p]
-        open_count = (started & remaining).bit_count()
-        while fronts:
-            bit = fronts & -fronts
-            fronts ^= bit
-            step = open_count + 1 if multi & bit else open_count
-            value = cost if cost >= step else step
-            successor = started | bit
-            known = peak.get(successor)
-            if known is not None and known <= value:
+            moved.append(p)
+        return fronts, moved
+
+    peak, order = _minimax_order(in_mask, singles, advance, [0] * inst.k)
+    order = [t for t in range(inst.m) if singles >> t & 1] + order
+    bin_solution = transform(inst, PalletSolution(tuple(order)))
+    return peak + 1, bin_solution, opening_order(inst, bin_solution)
+
+
+def _minimax_order(in_mask, start=0, advance=None, state=None):
+    """The least peak of |b(S)| over the vertex orders that place ``start``
+    first, and the rest of one such order.
+
+    ``in_mask[v]`` is the bitmask of the in-neighbours of vertex v.  The
+    boundary b(S) holds the placed vertices with an unplaced in-neighbour;
+    the peak of an order is the largest |b(S)| over its prefixes S before
+    the last vertex, or -1 when no vertex is left to place.  The vertices of
+    ``start`` have no in-neighbour outside it, so b(start) is empty.  Any
+    unplaced vertex may come next unless ``advance`` is given:
+    ``advance(state, placed)`` returns the mask of the vertices allowed next
+    and the state handed to the successors, from ``state`` at ``start``.  A
+    vertex allowed after S must stay allowed while other vertices are placed.
+
+    A minimax search over the sets S, with b(S) carried as a bitmask.
+    Placing v drops from b(S) the vertices whose one unplaced in-neighbour is
+    v, and adds v if it has an unplaced in-neighbour.  The cost of S is the
+    peak |b| along the path that reached it, raised to the least out-degree
+    h(S) of an unplaced vertex: the last vertex v of any completion of S is
+    unplaced, and the prefix before it has boundary out(v).  h only grows with
+    S.  Levels are costs, visited in increasing order from h(start).  Sets
+    whose cost is at most the level go on a stack, and costlier ones wait in
+    a bucket per cost (Dial's buckets, not a heap).  A successor already seen
+    is skipped before its boundary is computed.  One table, holding 1 + the
+    vertex placed last, is both the seen mark and the witness link.
+
+    Free moves: when placing v does not grow the boundary, |b(S + v)| <=
+    |b(S)|, v is the only successor expanded from S.  This is sound because b
+    is submodular.  For S within X and v not in X, placing v changes |b(X)| by
+    D(X, v) = [in(v) not within X + v] - |{u in X : in(u) - X = {v}}|, whose
+    first term can only fall and whose set can only grow as X grows, so
+    D(X, v) <= D(S, v) <= 0.  Moving v forward to directly after S therefore
+    never raises a later prefix, and some optimal ordering places v next.
+    Both arguments hold under the restriction: placing v early disallows no
+    vertex, and h bounds every order, allowed or not.
+    """
+    n = len(in_mask)
+    out_mask = [0] * n
+    for v, mask in enumerate(in_mask):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out_mask[low.bit_length() - 1] |= 1 << v
+    by_degree = sorted((mask.bit_count(), 1 << v) for v, mask in enumerate(out_mask))
+    full = (1 << n) - 1
+    if start == full:
+        return -1, []
+    # 1 + the vertex placed last; 0 while unseen
+    last = bytearray(1 << n) if n <= _BYTE_TABLE_MAX_VERTICES else _Links()
+    buckets: list[list[tuple]] = [[] for _ in range(n + 1)]
+    level = next(degree for degree, bit in by_degree if not start & bit)
+    stack = [(start, 0, state)]  # (S, b(S), state of the restriction)
+    while True:
+        while stack:
+            placed, boundary, state = stack.pop()
+            unplaced = full ^ placed
+            if advance is None:
+                allowed = unplaced
+            else:
+                allowed, state = advance(state, placed)
+            single = -1  # set up at the first unseen successor
+            moves = []
+            rest = allowed
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                successor = placed | bit
+                if last[successor]:
+                    continue
+                if single < 0:
+                    # boundary vertices with exactly one unplaced in-neighbour
+                    # leave when that one is placed
+                    size = boundary.bit_count()
+                    single = 0
+                    left = boundary
+                    while left:
+                        low = left & -left
+                        left ^= low
+                        waiting = in_mask[low.bit_length() - 1] & unplaced
+                        if not waiting & (waiting - 1):
+                            single |= low
+                v = bit.bit_length() - 1
+                grown = boundary ^ (single & out_mask[v])
+                if in_mask[v] & unplaced:
+                    grown |= bit
+                if grown.bit_count() <= size:
+                    moves = [(bit, successor, grown)]  # a free move: expand it alone
+                    break
+                moves.append((bit, successor, grown))
+            if not moves:
                 continue
-            if known is None:
-                moved = []
-                for bits, p in zip(queue_bits, pos):
-                    while successor & bits[p]:
-                        p += 1
-                    moved.append(p)
-                positions[successor] = tuple(moved)
-            peak[successor] = value
-            pred[successor] = started
-            heapq.heappush(heap, value << m | successor)
-    order = []
-    while started:
-        previous = pred[started]
-        order.append((started ^ previous).bit_length() - 1)
-        started = previous
-    pallet_solution = PalletSolution(tuple(reversed(order)))
-    return peak[full], transform(inst, pallet_solution), pallet_solution
+            # h of a successor: the least out-degree h of an unplaced vertex,
+            # or the next one up, h_after, when that vertex is the one placed
+            first = h = h_after = 0
+            for degree, bit in by_degree:
+                if unplaced & bit:
+                    if first:
+                        h_after = degree
+                        break
+                    first, h = bit, degree
+            for bit, successor, grown in moves:
+                last[successor] = bit.bit_length()
+                if successor == full:
+                    order = []
+                    while successor != start:
+                        v = last[successor] - 1
+                        order.append(v)
+                        successor ^= 1 << v
+                    order.reverse()
+                    return level, order
+                cost = grown.bit_count()
+                bound = h_after if bit == first else h
+                if bound > cost:
+                    cost = bound
+                (stack if cost <= level else buckets[cost]).append((successor, grown, state))
+        level += 1
+        while not buckets[level]:
+            level += 1
+        stack = buckets[level]
+
+
+class _Links(dict):
+    """The link table above the byte-table size: a set not stored reads 0."""
+
+    def __missing__(self, key):
+        return 0

@@ -240,6 +240,16 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1  # header only
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_corpus_that_is_not_a_directory(self, tmp_path, kind, capsys):
+        corpus = tmp_path / "corpus"
+        if kind == "file":
+            corpus.write_text(TWO_QUEUE_TEXT)
+        assert main(["bench", str(corpus)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: corpus is not a directory: {corpus}\n"
+
     def test_unreadable_file_is_a_row(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -300,6 +310,26 @@ class TestInternalFaults:
         assert rows["dp"]["status"].startswith("error: internal error:")
         assert rows["pallet-bf"]["status"] == "ok"
         assert "internal error on ex1.fsu by dp" in captured.err
+
+    def test_dpw_stackup_witness_that_is_no_processing_exits_3(
+            self, monkeypatch, ring_digraph_path, capsys):
+        import fifo_stackup.pathwidth as pathwidth
+        from fifo_stackup import BinSolution
+
+        real = pathwidth.solve_min_places
+
+        def dropping_last_move(inst, **kwargs):
+            places, bins, pallets = real(inst, **kwargs)
+            return places, BinSolution(bins.moves[:-1]), pallets
+
+        monkeypatch.setattr(pathwidth, "solve_min_places", dropping_last_move)
+        assert main(["dpw", "--method", "stackup", ring_digraph_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal error: stack-up witness does not read as a decomposition: "
+            "invalid bin solution at move ")
+        assert "Traceback" not in captured.err
 
     def test_dpw_certification_failure_exits_3(self, monkeypatch, ring_digraph_path, capsys):
         import fifo_stackup.pathwidth as pathwidth

@@ -221,50 +221,50 @@ CASES = [
      '  "bags": [\n'
      "    [],\n"
      "    [\n"
-     '      "a"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
-     '      "b"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
-     '      "c"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
-     '      "d"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
      '      "f"\n'
      "    ],\n"
      "    [\n"
-     '      "a"\n'
+     '      "e",\n'
+     '      "f"\n'
+     "    ],\n"
+     "    [\n"
+     '      "e",\n'
+     '      "f"\n'
+     "    ],\n"
+     "    [\n"
+     '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "a",\n'
+     '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "a",\n'
+     '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "b",\n'
+     '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "c",\n'
+     '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "d",\n'
+     '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "e"\n'
      "    ],\n"
      "    []\n"
      "  ],\n"

@@ -24,7 +24,7 @@ from fifo_stackup.oracles import (
     prune_priority,
     val_threshold_oracle,
 )
-from fifo_stackup.processing import grid_size
+from fifo_stackup.processing import _BYTE_TABLE_MAX_VERTICES, grid_size
 
 from conftest import random_dag, random_fifo_order, small_instance
 
@@ -244,6 +244,30 @@ class TestDecisionSearch:
         assert places == dpw_exact(build_sequence_graph(inst)).width + 1
         report = replay(inst, bin_solution)
         assert report.valid and report.max_open == places
+
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_dict_link_table(self, seed):
+        """More pallets than the byte table covers: 23..40 on 1..3 queues."""
+        rng = SplitMix64(seed * 104729 + 3)
+        spec = GenSpec(pallets=23 + rng.below(18), queues=1 + seed % 3,
+                       min_bins=1 + seed // 3 % 2, max_bins=3, seed=seed)
+        inst = generate_instance(spec)
+        assert inst.m > _BYTE_TABLE_MAX_VERTICES
+        places, bin_solution, pallet_solution = solve_min_places(inst)
+        assert places == opt_bottleneck(ConfigurationDag(inst)).value
+        report = replay(inst, bin_solution)
+        assert report.valid and report.max_open == places
+        assert pallet_solution == opening_order(inst, bin_solution)
+
+    @pytest.mark.parametrize("queues", [["abc"], ["ab", "cd"]])
+    def test_only_single_bin_pallets(self, queues):
+        inst = Instance.from_pallet_lists([list(queue) for queue in queues])
+        places, bin_solution, pallet_solution = solve_min_places(inst)
+        assert places == 0
+        report = replay(inst, bin_solution)
+        assert report.valid and report.max_open == 0
+        assert pallet_solution == opening_order(inst, bin_solution)
 
 
 class TestPrunePriority:
