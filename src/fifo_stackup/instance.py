@@ -43,14 +43,16 @@ class Instance(Record):
         m = len(self.symbols)
         if len(set(self.symbols)) != m:
             raise ValueError("pallet symbols must be distinct")
-        used = set()
+        counts = [0] * m
         for seq in self.sequences:
             for t in seq:
                 if not 0 <= t < m:
                     raise ValueError(f"pallet id {t} out of range")
-                used.add(t)
-        if len(used) != m:
+                counts[t] += 1
+        if 0 in counts:
             raise ValueError("every pallet symbol must label at least one bin")
+        # not a field: equality, hashing and repr stay those of the fields
+        self.__dict__["_bin_counts"] = tuple(counts)
 
     @classmethod
     def from_pallet_lists(cls, lists: Iterable[Sequence[str]]) -> "Instance":
@@ -88,12 +90,8 @@ class Instance(Record):
         return tuple(ids)
 
     def bin_counts(self) -> tuple[int, ...]:
-        """Total number of bins per pallet id."""
-        counts = [0] * self.m
-        for seq in self.sequences:
-            for t in seq:
-                counts[t] += 1
-        return tuple(counts)
+        """Total number of bins per pallet id, counted once at construction."""
+        return self._bin_counts
 
     def initial_configuration(self) -> Configuration:
         return (0,) * self.k

@@ -36,7 +36,7 @@ from .pathwidth import (
     DEFAULT_MAX_VERTICES,
     DpwResult,
     _check_vertex_budget,
-    _in_masks,
+    _arc_masks,
     _ordering_result,
 )
 from .processing import (
@@ -427,7 +427,7 @@ def dpw_table(graph: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dp
     n = graph.vertex_count
     if n == 0:
         return DpwResult(-1, DirectedPathDecomposition(()))
-    in_mask = _in_masks(graph)
+    in_mask, _ = _arc_masks(graph)
     full = (1 << n) - 1
 
     boundary_size = [0] * (full + 1)
@@ -467,7 +467,7 @@ def dpw_table(graph: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dp
         order.append(v)
         state ^= 1 << v
     order.reverse()
-    return _ordering_result(graph, order, cost[full] - 1)
+    return _ordering_result(graph, in_mask, order, cost[full] - 1)
 
 
 def search_decomposition_by_bags(graph: Digraph, width: int) -> DirectedPathDecomposition | None:

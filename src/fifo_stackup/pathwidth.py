@@ -46,18 +46,21 @@ def _check_vertex_budget(graph: Digraph, max_vertices: int) -> None:
         raise BudgetError(f"vertex budget exceeded: {n} vertices > limit {max_vertices}")
 
 
-def _in_masks(graph: Digraph) -> list[int]:
-    """Bitmask of the in-neighbours of each vertex."""
+def _arc_masks(graph: Digraph) -> tuple[list[int], list[int]]:
+    """Bitmasks of the in-neighbours and of the out-neighbours of each vertex."""
     in_mask = [0] * graph.vertex_count
+    out_mask = [0] * graph.vertex_count
     for u, v in graph.arcs:
         in_mask[v] |= 1 << u
-    return in_mask
+        out_mask[u] |= 1 << v
+    return in_mask, out_mask
 
 
-def _ordering_result(graph: Digraph, order: list[int], width: int) -> DpwResult:
+def _ordering_result(graph: Digraph, in_mask: list[int], order: list[int],
+                     width: int) -> DpwResult:
     """The certified decomposition of a vertex ordering: the bag of v is v plus
-    every vertex placed before it that still has an unplaced in-neighbour."""
-    in_mask = _in_masks(graph)
+    every vertex placed before it that still has an unplaced in-neighbour;
+    ``in_mask`` as from ``_arc_masks``."""
     bags = []
     placed = 0
     for v in order:
@@ -89,8 +92,9 @@ def dpw_exact(graph: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dp
     bag-sequence search.
     """
     _check_vertex_budget(graph, max_vertices)
-    width, order = _minimax_order(_in_masks(graph))
-    return _ordering_result(graph, order, width)
+    in_mask, out_mask = _arc_masks(graph)
+    width, order = _minimax_order(in_mask, out_mask)
+    return _ordering_result(graph, in_mask, order, width)
 
 
 def dpw_via_stackup(

@@ -6,7 +6,9 @@ and never raises the open count, so a decision configuration is fixed by the
 set S of pallets started so far, and one step opens a front pallet and
 drains the fronts of open pallets.  The pallets open at S are the boundary
 b(S) of S in the sequence graph, so the search is ``_minimax_order``, the
-one ``pathwidth.dpw_exact`` runs, restricted to front pallets.
+one ``pathwidth.dpw_exact`` runs, restricted to front pallets: the caller
+hands it the pallets of each queue in first-occurrence order, and the
+engine keeps the queue fronts itself.
 
 The oracle it is checked against, the bottleneck dynamic program over the
 whole configuration grid, ``opt_bottleneck(ConfigurationDag(inst))``, lives
@@ -20,7 +22,7 @@ from .errors import BudgetError
 # build_pallet_index stays a module attribute: perfbench/spans.py wraps
 # fifo_stackup.processing.build_pallet_index in traced runs.
 from .instance import Instance, build_pallet_index  # noqa: F401
-from .solutions import BinSolution, PalletSolution, opening_order, transform
+from .solutions import BinSolution, PalletSolution, transform
 
 DEFAULT_CONFIGURATION_BUDGET = 50_000_000
 # Guards of the brute forces in fifo_stackup.oracles, kept here so the CLI can
@@ -49,56 +51,61 @@ def solve_min_places(
     """Minimum number of stack-up places over all processings, with witnesses.
 
     The search runs over the pallets with two or more bins; the in-neighbours
-    of t are those with a bin before a t-bin in some queue.  A one-bin pallet
-    never opens, and taking it from a front is forced like draining an open
-    pallet, so the one-bin pallets are placed from the start.  The
-    restriction walks each queue past the bins of placed pallets and allows
-    the front pallets.  ``transform`` turns the order found, after the
-    one-bin pallets, into the bin solution.  The budget bounds the grid
-    product, as in ConfigurationDag, before any search.
+    of t are those with a bin before a t-bin in some queue, and its
+    out-neighbours those with a bin after one.  A one-bin pallet never opens,
+    and taking it from a front is forced like draining an open pallet, so the
+    one-bin pallets are placed from the start.  One pass over each queue
+    builds both neighbour masks and its pallets in first-occurrence order,
+    from which the search keeps the front pallets.  ``transform`` turns the
+    order found, after the one-bin pallets, into the bin solution, and the
+    pallet solution is its pallets by first removal.  The budget bounds the
+    grid product, as in ConfigurationDag, before any search.
     """
     grid_size(inst, max_configurations)
     singles = sum(1 << t for t, count in enumerate(inst.bin_counts()) if count == 1)
     in_mask = [0] * inst.m
+    out_mask = [0] * inst.m
+    queues = []
     for seq in inst.sequences:
         seen = 0
+        queue = []
         for t in seq:
             bit = 1 << t
             if not singles & bit:
                 in_mask[t] |= seen & ~bit
-                seen |= bit
-    # per queue and position: the pallet bit of that bin, then a 0 sentinel
-    queue_bits = [[1 << t for t in seq] + [0] for seq in inst.sequences]
-
-    def advance(positions, placed):
-        fronts = 0
-        moved = []
-        for bits, p in zip(queue_bits, positions):
-            while placed & bits[p]:
-                p += 1
-            fronts |= bits[p]
-            moved.append(p)
-        return fronts, moved
-
-    peak, order = _minimax_order(in_mask, singles, advance, [0] * inst.k)
+                if not seen & bit:
+                    queue.append(t)
+                    seen |= bit
+        queues.append(queue)
+        later = 0
+        for t in reversed(seq):
+            bit = 1 << t
+            if not singles & bit:
+                out_mask[t] |= later & ~bit
+                later |= bit
+    peak, order = _minimax_order(in_mask, out_mask, singles, queues)
     order = [t for t in range(inst.m) if singles >> t & 1] + order
     bin_solution = transform(inst, PalletSolution(tuple(order)))
-    return peak + 1, bin_solution, opening_order(inst, bin_solution)
+    sequences = inst.sequences
+    opened = dict.fromkeys(sequences[j][pos - 1] for j, pos in bin_solution.moves)
+    return peak + 1, bin_solution, PalletSolution(tuple(opened))
 
 
-def _minimax_order(in_mask, start=0, advance=None, state=None):
+def _minimax_order(in_mask, out_mask, start=0, queues=None):
     """The least peak of |b(S)| over the vertex orders that place ``start``
     first, and the rest of one such order.
 
-    ``in_mask[v]`` is the bitmask of the in-neighbours of vertex v.  The
-    boundary b(S) holds the placed vertices with an unplaced in-neighbour;
-    the peak of an order is the largest |b(S)| over its prefixes S before
-    the last vertex, or -1 when no vertex is left to place.  The vertices of
-    ``start`` have no in-neighbour outside it, so b(start) is empty.  Any
-    unplaced vertex may come next unless ``advance`` is given:
-    ``advance(state, placed)`` returns the mask of the vertices allowed next
-    and the state handed to the successors, from ``state`` at ``start``.  A
-    vertex allowed after S must stay allowed while other vertices are placed.
+    ``in_mask[v]`` and ``out_mask[v]`` are the bitmasks of the in- and
+    out-neighbours of vertex v.  The boundary b(S) holds the placed vertices
+    with an unplaced in-neighbour; the peak of an order is the largest |b(S)|
+    over its prefixes S before the last vertex, or -1 when no vertex is left
+    to place.  The vertices of ``start`` have no in-neighbour outside it, so
+    b(start) is empty.  Any unplaced vertex may come next unless ``queues``
+    is given: ``queues[i]`` lists the vertices of queue i outside ``start``,
+    each once, and only the front of each queue, its first vertex not in S,
+    may come next.  Each stack entry carries the queue positions and the
+    allowed mask of its parent and the vertex v placed last; at its pop v
+    leaves the allowed mask, and only the queues whose front was v walk on.
 
     A minimax search over the sets S, with b(S) carried as a bitmask.
     Placing v drops from b(S) the vertices whose one unplaced in-neighbour is
@@ -119,33 +126,54 @@ def _minimax_order(in_mask, start=0, advance=None, state=None):
     first term can only fall and whose set can only grow as X grows, so
     D(X, v) <= D(S, v) <= 0.  Moving v forward to directly after S therefore
     never raises a later prefix, and some optimal ordering places v next.
-    Both arguments hold under the restriction: placing v early disallows no
-    vertex, and h bounds every order, allowed or not.
+    Both arguments hold under the restriction: a front stays a front while
+    other vertices are placed, so placing v early disallows no vertex, and h
+    bounds every order, allowed or not.
     """
     n = len(in_mask)
-    out_mask = [0] * n
-    for v, mask in enumerate(in_mask):
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out_mask[low.bit_length() - 1] |= 1 << v
-    by_degree = sorted((mask.bit_count(), 1 << v) for v, mask in enumerate(out_mask))
     full = (1 << n) - 1
     if start == full:
         return -1, []
+    by_degree = sorted((mask.bit_count(), 1 << v) for v, mask in enumerate(out_mask))
+    allowed = positions = None
+    if queues is not None:
+        # per queue: its vertex bits, then a 0 sentinel; per vertex bit (and 0,
+        # the bit placed last at the start): the queues that hold it
+        fronts = [[1 << v for v in queue] + [0] for queue in queues]
+        where = {0: ()}
+        allowed = 0
+        for i, bits in enumerate(fronts):
+            allowed |= bits[0]
+            for bit in bits[:-1]:
+                where.setdefault(bit, []).append(i)
+        positions = [0] * len(fronts)
     # 1 + the vertex placed last; 0 while unseen
     last = bytearray(1 << n) if n <= _BYTE_TABLE_MAX_VERTICES else _Links()
     buckets: list[list[tuple]] = [[] for _ in range(n + 1)]
     level = next(degree for degree, bit in by_degree if not start & bit)
-    stack = [(start, 0, state)]  # (S, b(S), state of the restriction)
+    # (S, b(S), the parent's queue positions and allowed mask, the bit placed last)
+    stack = [(start, 0, positions, allowed, 0)]
     while True:
         while stack:
-            placed, boundary, state = stack.pop()
+            placed, boundary, positions, allowed, bit = stack.pop()
             unplaced = full ^ placed
-            if advance is None:
+            if positions is None:
                 allowed = unplaced
             else:
-                allowed, state = advance(state, placed)
+                allowed ^= bit
+                copied = False
+                for i in where[bit]:
+                    bits = fronts[i]
+                    p = positions[i]
+                    if bits[p] == bit:
+                        if not copied:
+                            positions = positions.copy()
+                            copied = True
+                        p += 1
+                        while placed & bits[p]:
+                            p += 1
+                        positions[i] = p
+                        allowed |= bits[p]
             single = -1  # set up at the first unseen successor
             moves = []
             rest = allowed
@@ -200,7 +228,8 @@ def _minimax_order(in_mask, start=0, advance=None, state=None):
                 bound = h_after if bit == first else h
                 if bound > cost:
                     cost = bound
-                (stack if cost <= level else buckets[cost]).append((successor, grown, state))
+                (stack if cost <= level else buckets[cost]).append(
+                    (successor, grown, positions, allowed, bit))
         level += 1
         while not buckets[level]:
             level += 1

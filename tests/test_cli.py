@@ -87,6 +87,20 @@ class TestSolve:
         assert done.returncode == 0, done.stderr
         assert "min places: 3" in done.stdout
 
+    @pytest.mark.parametrize("argv, code, first_line", [
+        (["--min"], 0, "min places: 3"),
+        (["-p", "2"], 1, "no"),
+    ])
+    def test_runs_as_module(self, two_queue_path, argv, code, first_line, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "fifo_stackup.cli", "solve", *argv, two_queue_path],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (code, "")
+        assert done.stdout.splitlines()[0].startswith(first_line)
+        assert main(["solve", *argv, two_queue_path]) == code
+        assert done.stdout == capsys.readouterr().out
+
 
 class TestTransform:
     def test_two_queue(self, two_queue_path, capsys):

@@ -168,3 +168,45 @@ class TestInvariants:
     def test_rejects_unused_symbol(self):
         with pytest.raises(ValueError):
             Instance((( 0,),), ("a", "b"))
+
+
+class TestBinCounts:
+    """Bins per pallet are counted once, in the validating pass at construction."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_stored_counts_match_a_direct_count(self, seed):
+        inst = small_instance(seed, min_bins=1)
+        direct = [0] * inst.m
+        for seq in inst.sequences:
+            for t in seq:
+                direct[t] += 1
+        assert inst.bin_counts() == tuple(direct)
+        assert sum(inst.bin_counts()) == inst.n
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_counts_survive_deepcopy_and_pickle(self, seed):
+        import copy
+        import pickle
+
+        inst = small_instance(seed, min_bins=1)
+        for clone in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+            assert clone == inst
+            assert clone.bin_counts() == inst.bin_counts()
+
+    def test_equal_instances_compare_and_hash_equal(self, two_queue_instance):
+        text = emit_instance(two_queue_instance)
+        again = parse_instance(text)
+        assert again == two_queue_instance
+        assert hash(again) == hash(two_queue_instance)
+        assert again.bin_counts() == two_queue_instance.bin_counts() == (3, 3, 2, 2, 2)
+        assert repr(again) == repr(two_queue_instance)
+        assert "_bin_counts" not in repr(again)
+
+    @pytest.mark.parametrize("sequences, symbols", [
+        (((0,),), ("a", "b")),
+        (((1, 1), (1,)), ("a", "b")),
+        (((0, 2), (2, 0)), ("a", "b", "c")),
+    ])
+    def test_unused_symbol_still_rejected(self, sequences, symbols):
+        with pytest.raises(ValueError, match="every pallet symbol must label at least one bin"):
+            Instance(sequences, symbols)

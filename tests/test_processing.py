@@ -270,6 +270,47 @@ class TestDecisionSearch:
         assert pallet_solution == opening_order(inst, bin_solution)
 
 
+class TestFrontWalk:
+    """The search keeps each queue's front itself: placing a pallet walks on
+    every queue it heads, past the pallets already placed."""
+
+    @pytest.mark.parametrize("queues", [
+        ["abca", "adbd", "ece"],  # a heads two queues
+        ["abcd", "abdc", "acbd"],  # a heads three, b and c then two each
+        ["abab", "baba"],  # a pallet repeats within a queue
+        ["aabbcc", "ccbbaa"],
+        ["abcacb", "cab"],  # with c placed before b, the first queue walks past c
+        ["abcdd", "caeeb"],  # every order walks some queue past a placed pallet
+        ["dabcda", "dcbacb", "bd"],  # d heads two queues and repeats in both
+        ["axb", "ayb", "ba"],  # one-bin pallets x, y are placed from the start
+        ["xaby", "ab", "ab"],
+    ])
+    def test_hand_built(self, queues):
+        inst = Instance.from_pallet_lists([list(queue) for queue in queues])
+        places, bin_solution, pallet_solution = solve_min_places(inst)
+        assert places == opt_bottleneck(ConfigurationDag(inst)).value
+        report = replay(inst, bin_solution)
+        assert report.valid and report.max_open == places
+        assert pallet_solution == opening_order(inst, bin_solution)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_shared_fronts(self, seed):
+        """Seeded instances where one pallet heads every queue."""
+        rng = SplitMix64(seed * 6151 + 7)
+        k = 2 + seed % 4
+        spec = GenSpec(pallets=k + rng.below(4), queues=k, min_bins=2, max_bins=4, seed=seed)
+        inst = generate_instance(spec)
+        lists = [[inst.symbols[t] for t in seq] for seq in inst.sequences]
+        head = lists[0][0]
+        inst = Instance.from_pallet_lists([lists[0]] + [[head] + row for row in lists[1:]])
+        assert all(seq[0] == 0 for seq in inst.sequences)
+        places, bin_solution, pallet_solution = solve_min_places(inst)
+        assert places == opt_bottleneck(ConfigurationDag(inst)).value
+        report = replay(inst, bin_solution)
+        assert report.valid and report.max_open == places
+        assert pallet_solution == opening_order(inst, bin_solution)
+
+
 class TestPrunePriority:
     def test_forced_auto_removal(self, two_queue_instance):
         idx = build_pallet_index(two_queue_instance)
