@@ -12,8 +12,10 @@ records (``fifo_stackup._record.Record``), not dataclasses.
 The oracles the solvers are checked against (the bottleneck dynamic program
 over the whole configuration grid, the brute forces, the subset-table and
 definitional pathwidth searches) are in ``fifo_stackup.oracles``, which is
-not part of this namespace.  The configuration budget bounds the grid
-product, not the number of states the search visits."""
+not part of this namespace.  So are the grid helpers they use: the
+``Configuration`` tuple of per-queue removed counts, ``cut``,
+``is_open_pallet`` and ``check_configuration``.  The configuration budget
+bounds the grid product, not the number of states the search visits."""
 
 import importlib
 
@@ -23,9 +25,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("BudgetError", "DigraphFormatError", "InadmissibleDigraphError",
                "InstanceFormatError", "InternalError", "TransformStuckError"),
-    "instance": ("Configuration", "Instance", "PalletIndex", "ValidationReport",
-                 "build_pallet_index", "cut", "emit_instance", "front", "is_open_pallet",
-                 "parse_instance", "validate"),
+    "instance": ("Instance", "ValidationReport", "emit_instance", "parse_instance", "validate"),
     "processing": ("solve_min_places",),
     "solutions": ("BinSolution", "PalletSolution", "ReplayReport", "open_set_trace",
                   "opening_order", "replay", "transform"),

@@ -226,6 +226,8 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"corpus is not a directory: {args.corpus}")
     corpus = sorted(Path(args.corpus).glob("*.fsu"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError("no methods given")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")

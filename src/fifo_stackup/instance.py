@@ -4,9 +4,7 @@ Conventions used throughout the package:
 
 * sequence indices are 0-based (``sequences[0]`` is the first queue),
 * bin positions are 1-based, so a bin is addressed as ``(i, p)`` with
-  ``sequences[i][p - 1]`` holding its pallet id,
-* a configuration is the tuple of per-sequence removed-bin counts; the count
-  for a queue equals the position of the bin removed last from it.
+  ``sequences[i][p - 1]`` holding its pallet id.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -21,8 +19,6 @@ from .errors import InstanceFormatError
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _SEQ_LINE_RE = re.compile(r"seq\s+(\d+)\s*:(.*)\Z")
-
-Configuration = tuple[int, ...]
 
 
 class Instance(Record):
@@ -93,20 +89,6 @@ class Instance(Record):
         """Total number of bins per pallet id, counted once at construction."""
         return self._bin_counts
 
-    def initial_configuration(self) -> Configuration:
-        return (0,) * self.k
-
-    def final_configuration(self) -> Configuration:
-        return tuple(len(seq) for seq in self.sequences)
-
-
-def check_configuration(inst: Instance, cfg: Configuration) -> None:
-    if len(cfg) != inst.k:
-        raise ValueError(f"configuration has {len(cfg)} entries, instance has {inst.k} sequences")
-    for i, (count, seq) in enumerate(zip(cfg, inst.sequences)):
-        if not 0 <= count <= len(seq):
-            raise ValueError(f"removed count {count} out of range for sequence {i}")
-
 
 def parse_instance(text: str) -> Instance:
     """Parse the instance text format.
@@ -151,34 +133,12 @@ def emit_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def front(inst: Instance, cfg: Configuration) -> frozenset[int]:
-    """Pallets of the first remaining bin of each nonempty sequence."""
-    check_configuration(inst, cfg)
-    return frozenset(
-        seq[count] for seq, count in zip(inst.sequences, cfg) if count < len(seq))
-
-
-def cut(inst: Instance, cfg: Configuration) -> frozenset[int]:
-    """Pallets with a removed bin and a remaining bin: the open pallets.
-
-    Computed directly from the definition (no incremental state) so it can
-    serve as an oracle for the incremental update.
-    """
-    check_configuration(inst, cfg)
-    removed: set[int] = set()
-    remaining: set[int] = set()
-    for seq, count in zip(inst.sequences, cfg):
-        removed.update(seq[:count])
-        remaining.update(seq[count:])
-    return frozenset(removed & remaining)
-
-
 class PalletIndex(Record):
     """First/last bin positions per pallet and sequence, 1-based.
 
     For a pallet ``t`` absent from sequence ``i``: ``first[t][i] == len + 1``
-    and ``last[t][i] == 0``, which makes the open/close comparisons below work
-    without membership tests.
+    and ``last[t][i] == 0``, which makes the open/close comparisons of the
+    grid oracles in ``fifo_stackup.oracles`` work without membership tests.
     """
 
     first: tuple[tuple[int, ...], ...]
@@ -194,13 +154,6 @@ def build_pallet_index(inst: Instance) -> PalletIndex:
                 first[t][i] = pos
             last[t][i] = pos
     return PalletIndex(tuple(map(tuple, first)), tuple(map(tuple, last)))
-
-
-def is_open_pallet(index: PalletIndex, cfg: Configuration, t: int) -> bool:
-    """True when pallet t has at least one removed and one remaining bin."""
-    started = any(f <= c for f, c in zip(index.first[t], cfg))
-    pending = any(last > c for last, c in zip(index.last[t], cfg))
-    return started and pending
 
 
 class ValidationReport(Record):

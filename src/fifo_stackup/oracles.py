@@ -4,9 +4,15 @@
 ``fifo_stackup.oracles``.  Only the CLI's ``pallet-bf`` and ``bin-bf`` methods
 run code from here; every default route is checked against it in the tests.
 
-* The configuration DAG, one vertex per vector of per-queue removed counts
-  valued with its open-pallet count, and the bottleneck dynamic program over
-  it, ``opt_bottleneck(ConfigurationDag(inst))``: the oracle for
+* The grid-configuration view.  A configuration is the tuple of per-queue
+  removed-bin counts; the count for a queue equals the position of the bin
+  removed last from it.  ``cut`` gives its open pallets from the definition,
+  ``is_open_pallet`` and ``open_delta`` from the first/last tables of
+  ``instance.build_pallet_index``, and ``check_configuration`` checks its
+  bounds.  The solvers never visit this grid.
+* The configuration DAG, one vertex per configuration valued with its
+  open-pallet count, and the bottleneck dynamic program over it,
+  ``opt_bottleneck(ConfigurationDag(inst))``: the oracle for
   ``solve_min_places``, with ``val_threshold_oracle`` as a second,
   independent evaluation of any small DAG.
 * Brute force over all pallet orders and over all FIFO bin interleavings.
@@ -23,15 +29,7 @@ from itertools import combinations
 
 from ._record import Record
 from .errors import BudgetError
-from .instance import (
-    Configuration,
-    Instance,
-    PalletIndex,
-    build_pallet_index,
-    check_configuration,
-    cut,
-    is_open_pallet,
-)
+from .instance import Instance, PalletIndex, build_pallet_index
 from .pathwidth import (
     DEFAULT_MAX_VERTICES,
     DpwResult,
@@ -162,6 +160,39 @@ def val_threshold_oracle(dag) -> int | float:
     return r + 1
 
 
+Configuration = tuple[int, ...]
+
+
+def check_configuration(inst: Instance, cfg: Configuration) -> None:
+    if len(cfg) != inst.k:
+        raise ValueError(f"configuration has {len(cfg)} entries, instance has {inst.k} sequences")
+    for i, (count, seq) in enumerate(zip(cfg, inst.sequences)):
+        if not 0 <= count <= len(seq):
+            raise ValueError(f"removed count {count} out of range for sequence {i}")
+
+
+def cut(inst: Instance, cfg: Configuration) -> frozenset[int]:
+    """Pallets with a removed bin and a remaining bin: the open pallets.
+
+    Computed directly from the definition (no incremental state) so it can
+    serve as an oracle for the incremental update.
+    """
+    check_configuration(inst, cfg)
+    removed: set[int] = set()
+    remaining: set[int] = set()
+    for seq, count in zip(inst.sequences, cfg):
+        removed.update(seq[:count])
+        remaining.update(seq[count:])
+    return frozenset(removed & remaining)
+
+
+def is_open_pallet(index: PalletIndex, cfg: Configuration, t: int) -> bool:
+    """True when pallet t has at least one removed and one remaining bin."""
+    started = any(f <= c for f, c in zip(index.first[t], cfg))
+    pending = any(last > c for last, c in zip(index.last[t], cfg))
+    return started and pending
+
+
 def open_delta(inst: Instance, index: PalletIndex, cfg: Configuration, j: int) -> int:
     """Open-count change when the next bin of sequence j is removed.
 
@@ -204,14 +235,9 @@ class ConfigurationDag:
     predecessor per vertex.
     """
 
-    def __init__(
-        self,
-        inst: Instance,
-        index: PalletIndex | None = None,
-        max_configurations: int = DEFAULT_CONFIGURATION_BUDGET,
-    ):
+    def __init__(self, inst: Instance, max_configurations: int = DEFAULT_CONFIGURATION_BUDGET):
         self.instance = inst
-        self.index = index if index is not None else build_pallet_index(inst)
+        self.index = build_pallet_index(inst)
         self.limits = tuple(len(seq) for seq in inst.sequences)
         self.count = count = grid_size(inst, max_configurations)
         strides = []

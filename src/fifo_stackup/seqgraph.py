@@ -258,21 +258,18 @@ def strip_endpoints(graph: Digraph) -> tuple[Digraph, tuple[tuple[str, str], ...
     return core, tuple(removals)
 
 
-def reduce_digraph_to_queues(graph: Digraph, *, strip: bool = False) -> Instance:
+def reduce_digraph_to_queues(graph: Digraph) -> Instance:
     """Queue system of a digraph: one two-bin queue [u, v] per arc (u, v).
 
     The sequence graph of the result equals the input graph.  Requires every
-    vertex to have an incoming and an outgoing arc; pass ``strip=True`` to
-    remove offending vertices first (width-neutral).
+    vertex to have an incoming and an outgoing arc; ``strip_endpoints``
+    removes offending vertices first (width-neutral).
     """
-    if strip:
-        graph, _ = strip_endpoints(graph)
-    else:
-        bad = admissibility_violations(graph)
-        if bad:
-            raise InadmissibleDigraphError(
-                "vertices without both incoming and outgoing arcs: "
-                + ", ".join(sorted(bad)))
+    bad = admissibility_violations(graph)
+    if bad:
+        raise InadmissibleDigraphError(
+            "vertices without both incoming and outgoing arcs: "
+            + ", ".join(sorted(bad)))
     if not graph.arcs:
         raise InadmissibleDigraphError("digraph has no arcs; nothing to reduce")
     queues = [[graph.names[u], graph.names[v]] for u, v in sorted(graph.arcs)]

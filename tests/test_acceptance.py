@@ -13,9 +13,7 @@ from fifo_stackup import (
     Instance,
     PalletSolution,
     SplitMix64,
-    build_pallet_index,
     build_sequence_graph,
-    cut,
     decomposition_to_processing,
     dpw_exact,
     processing_to_decomposition,
@@ -26,10 +24,12 @@ from fifo_stackup import (
     transform,
     validate_decomposition,
 )
+from fifo_stackup.instance import build_pallet_index
 from fifo_stackup.oracles import (
     ConfigurationDag,
     brute_force_bin_orders,
     brute_force_pallet_orders,
+    cut,
     dpw_brute_force,
     open_delta,
     opt_bottleneck,
@@ -161,7 +161,7 @@ def test_criterion_8_incremental_consistency():
         inst = small_instance(seed % 300, min_bins=1)
         idx = build_pallet_index(inst)
         rng = SplitMix64(seed * 101 + 13)
-        cfg = list(inst.initial_configuration())
+        cfg = [0] * inst.k
         running = 0
         for j, _ in random_fifo_order(inst, rng):
             running += open_delta(inst, idx, tuple(cfg), j)

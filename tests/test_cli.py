@@ -289,6 +289,17 @@ class TestBench:
         corpus.mkdir()
         assert main(["bench", str(corpus), "--methods", "magic"]) == 2
 
+    @pytest.mark.parametrize("methods", ["", ",", " , ,"])
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_empty_method_list(self, tmp_path, methods, extra, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.fsu").write_text(TWO_QUEUE_TEXT)
+        assert main(["bench", str(corpus), "--methods", methods, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no methods given\n"
+
 
 class TestInternalFaults:
     """A witness that fails its own replay or certification is an internal

@@ -23,18 +23,21 @@ HEAVY = ("dataclasses", "inspect", "typing", "csv", "fifo_stackup.oracles",
          "fifo_stackup.generate")
 
 PUBLIC = {
-    "BinSolution", "BudgetError", "Configuration", "DecompositionCheck", "Digraph",
+    "BinSolution", "BudgetError", "DecompositionCheck", "Digraph",
     "DigraphFormatError", "DirectedPathDecomposition", "DpwResult", "GenSpec",
     "InadmissibleDigraphError", "Instance", "InstanceFormatError", "InternalError",
-    "PalletIndex", "PalletSolution", "ReplayReport", "SplitMix64", "TransformStuckError",
-    "ValidationReport", "admissibility_violations", "build_pallet_index",
-    "build_sequence_graph", "cut", "decomposition_to_dot", "decomposition_to_processing",
+    "PalletSolution", "ReplayReport", "SplitMix64", "TransformStuckError",
+    "ValidationReport", "admissibility_violations",
+    "build_sequence_graph", "decomposition_to_dot", "decomposition_to_processing",
     "digraph_to_dot", "dpw_exact", "dpw_via_stackup", "emit_digraph", "emit_instance",
-    "front", "generate_instance", "is_open_pallet", "open_set_trace", "opening_order",
+    "generate_instance", "open_set_trace", "opening_order",
     "parse_digraph", "parse_instance", "processing_to_decomposition",
     "random_admissible_digraph", "reduce_digraph_to_queues", "replay", "solve_min_places",
     "strip_endpoints", "transform", "validate", "validate_decomposition",
 }
+
+# The grid-configuration view: only the oracles use it.
+GRID_VIEW = ("Configuration", "check_configuration", "cut", "is_open_pallet")
 
 
 def probe(statements):
@@ -108,6 +111,21 @@ def test_every_public_name_resolves(name):
     exec("from fifo_stackup import *", namespace)
     assert namespace[name] is value
     assert name in dir(fifo_stackup)
+
+
+def test_grid_view_lives_only_in_oracles():
+    import fifo_stackup.instance as instance
+    import fifo_stackup.oracles as oracles
+
+    for name in (*GRID_VIEW, "front"):
+        assert not hasattr(instance, name), name
+        assert name not in fifo_stackup.__all__
+    for name in GRID_VIEW:
+        assert hasattr(oracles, name), name
+    for name in ("check_configuration", "cut", "is_open_pallet"):
+        assert getattr(oracles, name).__module__ == "fifo_stackup.oracles"
+    assert not hasattr(fifo_stackup.Instance, "initial_configuration")
+    assert not hasattr(fifo_stackup.Instance, "final_configuration")
 
 
 def test_public_names_come_from_their_defining_module():

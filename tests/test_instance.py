@@ -3,13 +3,12 @@ import pytest
 from fifo_stackup import (
     Instance,
     InstanceFormatError,
-    build_pallet_index,
-    cut,
     emit_instance,
-    front,
     parse_instance,
     validate,
 )
+from fifo_stackup.instance import build_pallet_index
+from fifo_stackup.oracles import cut
 
 from conftest import small_instance
 
@@ -70,15 +69,6 @@ class TestParse:
 
 
 class TestFrontAndCut:
-    def test_front_initial(self, two_queue_instance):
-        assert names(two_queue_instance, front(two_queue_instance, (0, 0))) == ["a", "c"]
-
-    def test_front_mid(self, two_queue_instance):
-        assert names(two_queue_instance, front(two_queue_instance, (2, 4))) == ["a", "b"]
-
-    def test_front_final_empty(self, two_queue_instance):
-        assert front(two_queue_instance, two_queue_instance.final_configuration()) == frozenset()
-
     def test_cut_two_queue_instance(self, two_queue_instance):
         assert names(two_queue_instance, cut(two_queue_instance, (0, 4))) == ["d", "e"]
 
@@ -87,13 +77,13 @@ class TestFrontAndCut:
 
     def test_cut_initial_empty(self, two_queue_instance, three_queue_instance, overlap_instance):
         for inst in (two_queue_instance, three_queue_instance, overlap_instance):
-            assert cut(inst, inst.initial_configuration()) == frozenset()
+            assert cut(inst, (0,) * inst.k) == frozenset()
 
     def test_configuration_bounds_checked(self, two_queue_instance):
         with pytest.raises(ValueError):
             cut(two_queue_instance, (0, 9))
         with pytest.raises(ValueError):
-            front(two_queue_instance, (0,))
+            cut(two_queue_instance, (0,))
 
 
 class TestPalletIndex:
@@ -153,13 +143,12 @@ class TestInvariants:
         inst = small_instance(seed, min_bins=1)
         counts = inst.bin_counts()
         rng = SplitMix64(seed)
-        cfg = list(inst.initial_configuration())
+        cfg = [0] * inst.k
         for j, _ in random_fifo_order(inst, rng):
             cfg[j] += 1
             open_now = cut(inst, tuple(cfg))
             assert open_now <= frozenset(range(inst.m))
             assert all(counts[t] >= 2 for t in open_now)
-            assert len(front(inst, tuple(cfg))) <= inst.k
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError):

@@ -7,18 +7,18 @@ from fifo_stackup import (
     GenSpec,
     Instance,
     SplitMix64,
-    build_pallet_index,
     build_sequence_graph,
-    cut,
     dpw_exact,
     generate_instance,
     opening_order,
     replay,
     solve_min_places,
 )
+from fifo_stackup.instance import build_pallet_index
 from fifo_stackup.oracles import (
     ConfigurationDag,
     ExplicitDag,
+    cut,
     open_delta,
     opt_bottleneck,
     prune_priority,
@@ -138,7 +138,7 @@ class TestOpenDelta:
         inst = small_instance(seed, min_bins=1)
         idx = build_pallet_index(inst)
         rng = SplitMix64(seed * 7 + 3)
-        cfg = list(inst.initial_configuration())
+        cfg = [0] * inst.k
         running = 0
         for j, _ in random_fifo_order(inst, rng):
             running += open_delta(inst, idx, tuple(cfg), j)
@@ -332,14 +332,14 @@ class TestPrunePriority:
     def test_final_configuration_rejected(self, two_queue_instance):
         idx = build_pallet_index(two_queue_instance)
         with pytest.raises(ValueError):
-            prune_priority(two_queue_instance, idx, two_queue_instance.final_configuration())
+            prune_priority(two_queue_instance, idx, tuple(map(len, two_queue_instance.sequences)))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_priority_rule_preserves_optimum(self, seed):
         """Restricting the search to prune_priority successors is lossless."""
         inst = small_instance(seed, min_bins=1)
         idx = build_pallet_index(inst)
-        final = inst.final_configuration()
+        final = tuple(map(len, inst.sequences))
         memo = {}
 
         def best_from(cfg):
@@ -356,4 +356,4 @@ class TestPrunePriority:
             memo[cfg] = value
             return value
 
-        assert best_from(inst.initial_configuration()) == solve_min_places(inst)[0]
+        assert best_from((0,) * inst.k) == solve_min_places(inst)[0]

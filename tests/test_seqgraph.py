@@ -70,7 +70,7 @@ class TestReduce:
 
     def test_strip_flag(self):
         graph = Digraph.from_named_arcs([("a", "b"), ("b", "c"), ("c", "b")])
-        inst = reduce_digraph_to_queues(graph, strip=True)
+        inst = reduce_digraph_to_queues(strip_endpoints(graph)[0])
         assert set(inst.symbols) == {"b", "c"}
 
     @pytest.mark.parametrize("seed", range(40))
