@@ -39,7 +39,7 @@ from .seqgraph import (
     reduce_digraph_to_queues,
     strip_endpoints,
 )
-from .solutions import PalletSolution, replay, transform
+from .solutions import PalletSolution, opening_order, replay, transform
 # The oracles, the generators and csv are imported only by the commands that run them.
 
 METHODS = ("dp", "pallet-bf", "bin-bf")
@@ -81,7 +81,8 @@ def _run_method(inst: Instance, name: str, method: str, args) -> SolveReport:
     """Solve by the named method; the single place where a solver is picked.
 
     A witness is replayed, and one that is not a complete processing peaking
-    at the reported place count raises InternalError.
+    at the reported place count raises InternalError.  The pallet solution
+    reported is the order in which the bin solution opens pallets.
     """
     if method != "dp":
         from . import oracles
@@ -90,9 +91,10 @@ def _run_method(inst: Instance, name: str, method: str, args) -> SolveReport:
         places, bin_solution, pallet_solution = solve_min_places(
             inst, max_configurations=args.budget)
     elif method == "pallet-bf":
-        places, pallet_solution = oracles.brute_force_pallet_orders(
+        places, searched = oracles.brute_force_pallet_orders(
             inst, max_pallets=args.max_pallets)
-        bin_solution = transform(inst, pallet_solution)
+        bin_solution = transform(inst, searched)
+        pallet_solution = opening_order(inst, bin_solution)
     else:
         places = oracles.brute_force_bin_orders(inst, max_bins=args.max_bins)
         bin_solution = pallet_solution = None
@@ -177,7 +179,7 @@ def _cmd_dpw(args) -> int:
     if args.method == "subset":
         result = dpw_exact(graph, max_vertices=args.max_vertices)
     else:
-        result = dpw_via_stackup(graph, strip=args.strip, max_configurations=args.budget)
+        result = dpw_via_stackup(graph, max_configurations=args.budget)
     if args.dot:
         print(decomposition_to_dot(graph, result.decomposition), end="")
         return 0
@@ -322,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     dpw = sub.add_parser("dpw", help="compute the directed pathwidth of a digraph")
     dpw.add_argument("digraph")
     dpw.add_argument("--method", choices=("subset", "stackup"), default="subset")
-    dpw.add_argument("--strip", action="store_true",
-                     help="with --method stackup: strip inadmissible vertices first")
     dpw.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     dpw.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET)
     dpw.add_argument("--dot", action="store_true", help="emit the witness decomposition as DOT")

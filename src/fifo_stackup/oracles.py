@@ -44,7 +44,7 @@ from .processing import (
     grid_size,
 )
 from .seqgraph import Digraph, DirectedPathDecomposition
-from .solutions import PalletSolution
+from .solutions import PalletSolution, _Stepper
 
 INFINITY = math.inf
 
@@ -345,57 +345,40 @@ def brute_force_pallet_orders(
 ) -> tuple[int, PalletSolution]:
     """Minimum places over all pallet orders, by exhaustive search.
 
-    Enumerates pallet permutations depth-first in ascending id order and
-    prunes any prefix whose partial peak already matches the incumbent; the
-    witness is therefore the lexicographically first optimal order.
+    Enumerates pallet permutations depth-first in ascending id order.  Each
+    prefix drains the fronts of the opened pallets, as ``transform`` does, on
+    a fork of its parent's processing (the last child takes the parent's
+    own); a prefix whose partial peak already matches the incumbent is
+    pruned.  The witness is therefore the lexicographically first optimal
+    order.
     """
     m = inst.m
     if m > max_pallets:
         raise BudgetError(f"factorial budget exceeded: {m} pallets > limit {max_pallets}")
-    counts = inst.bin_counts()
-    sequences = inst.sequences
     best = m + 2  # above any achievable peak
     best_order: tuple[int, ...] | None = None
+    opened: set[int] = set()
+    order: list[int] = []
 
-    def consume(positions, removed, opened, open_count, peak):
-        # drain front bins of opened pallets, lowest sequence first
-        progressed = True
-        while progressed:
-            progressed = False
-            for j, seq in enumerate(sequences):
-                p = positions[j]
-                if p < len(seq) and seq[p] in opened:
-                    t = seq[p]
-                    positions[j] = p + 1
-                    removed[t] += 1
-                    open_count += _open_step(counts, removed, t)
-                    if open_count > peak:
-                        peak = open_count
-                    progressed = True
-                    break
-        return open_count, peak
-
-    def search(positions, removed, opened, order, open_count, peak):
+    def search(stepper, peak):
         nonlocal best, best_order
         if peak >= best:
             return
-        if len(order) == m:
+        rest = [t for t in range(m) if t not in opened]
+        if not rest:
             best = peak
             best_order = tuple(order)
             return
-        for t in range(m):
-            if t in opened:
-                continue
-            next_positions = positions.copy()
-            next_removed = removed.copy()
+        for t in rest:
+            # the last child may take this prefix's stepper: no sibling needs it after
+            child = stepper if t == rest[-1] else stepper.fork()
             opened.add(t)
             order.append(t)
-            oc, pk = consume(next_positions, next_removed, opened, open_count, peak)
-            search(next_positions, next_removed, opened, order, oc, pk)
+            search(child, max(peak, child.drain(opened)))
             opened.discard(t)
             order.pop()
 
-    search([0] * inst.k, [0] * m, set(), [], 0, 0)
+    search(_Stepper(inst), 0)
     assert best_order is not None
     return best, PalletSolution(best_order)
 

@@ -100,18 +100,18 @@ def dpw_exact(graph: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dp
 def dpw_via_stackup(
     graph: Digraph,
     *,
-    strip: bool = False,
     max_configurations: int = DEFAULT_CONFIGURATION_BUDGET,
 ) -> DpwResult:
     """Directed pathwidth through the stack-up route.
 
-    Reduces the graph to its queue system, solves for the minimum number of
-    stack-up places, and reads the decomposition off the witness processing;
-    the width is the place count minus one.  With ``strip=True`` vertices
-    lacking in- or out-arcs are removed first and reattached as singleton
-    bags (sources and isolated vertices in front, sinks at the back).
+    Vertices lacking in- or out-arcs are stripped first and reattached as
+    singleton bags (sources and isolated vertices in front, sinks at the
+    back), which leaves the width unchanged and an admissible graph as it is.
+    The rest is reduced to its queue system, solved for the minimum number
+    of stack-up places, and the decomposition is read off the witness
+    processing; the width is the place count minus one.
     """
-    core, removals = strip_endpoints(graph) if strip else (graph, ())
+    core, removals = strip_endpoints(graph)
     lookup = {name: i for i, name in enumerate(graph.names)}
     if core.vertex_count == 0:
         bags: list[frozenset[int]] = []

@@ -7,7 +7,7 @@ from collections.abc import Iterable, Sequence
 from ._record import Record
 from .errors import DigraphFormatError, InadmissibleDigraphError
 from .instance import SYMBOL_RE, Instance
-from .solutions import BinSolution, _Stepper, open_set_trace
+from .solutions import BinSolution, PalletSolution, open_set_trace, transform
 
 
 class Digraph(Record):
@@ -295,27 +295,23 @@ def processing_to_decomposition(inst: Instance, b_sol: BinSolution) -> DirectedP
 
 
 def decomposition_to_processing(inst: Instance, decomposition: DirectedPathDecomposition) -> BinSolution:
-    """Greedy processing guided by a decomposition.
+    """Processing guided by a decomposition: ``transform`` of the pallets
+    ordered by their first bag, ties by pallet id.
 
-    Front bins of open pallets are removed first (lowest sequence index); at
-    decision configurations the front pallet whose first bag comes earliest
-    is opened (ties by pallet id, then lowest sequence).  The replayed peak
-    open count is at most the decomposition's width plus one.
+    The replayed peak open count is at most the decomposition's width plus
+    one.  While the fronts drain after v joins the order, every open pallet
+    is v or an earlier pallet u, and a bin of u was held back by the front
+    bin of an in-neighbour w that is v or later; alpha(u) <= alpha(v) <=
+    alpha(w) <= beta(u) then puts u in bag alpha(v).
     """
-    graph = build_sequence_graph(inst)
-    check = validate_decomposition(graph, decomposition)
+    check = validate_decomposition(build_sequence_graph(inst), decomposition)
     if not check.ok:
         raise ValueError(
             f"decomposition invalid for the sequence graph "
             f"({check.violation}, witness {check.witness!r})")
     alpha, _ = decomposition.intervals()
-    stepper = _Stepper(inst)
-    while True:
-        stepper.drain(stepper.open)
-        fronts = [(alpha[t], t, j) for j, t in stepper.fronts()]
-        if not fronts:
-            return BinSolution(tuple(stepper.moves))
-        stepper.remove(min(fronts)[2])
+    order = sorted(range(inst.m), key=lambda t: (alpha[t], t))
+    return transform(inst, PalletSolution(tuple(order)))
 
 
 def decomposition_to_dot(graph: Digraph, decomposition: DirectedPathDecomposition) -> str:

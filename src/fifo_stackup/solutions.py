@@ -52,6 +52,8 @@ class _Stepper:
     """A processing in progress: queue positions, bins removed per pallet, the
     open-pallet set and the moves made so far."""
 
+    __slots__ = ("sequences", "counts", "positions", "removed", "open", "moves")
+
     def __init__(self, inst: Instance):
         self.sequences = inst.sequences
         self.counts = inst.bin_counts()
@@ -60,10 +62,17 @@ class _Stepper:
         self.open: set[int] = set()
         self.moves: list[tuple[int, int]] = []
 
-    def fronts(self) -> list[tuple[int, int]]:
-        """(queue, pallet) of every front bin."""
-        return [(j, seq[p]) for j, (seq, p) in enumerate(zip(self.sequences, self.positions))
-                if p < len(seq)]
+    def fork(self) -> "_Stepper":
+        """An independent copy of this processing in progress."""
+        twin = _Stepper.__new__(_Stepper)
+        twin.sequences, twin.counts = self.sequences, self.counts
+        twin.positions, twin.removed = self.positions.copy(), self.removed.copy()
+        twin.open, twin.moves = self.open.copy(), self.moves.copy()
+        return twin
+
+    def finished(self) -> bool:
+        """Whether every bin has been removed."""
+        return all(p == len(seq) for seq, p in zip(self.sequences, self.positions))
 
     def remove(self, j: int) -> int:
         """Remove the front bin of queue j; returns its pallet."""
@@ -78,14 +87,23 @@ class _Stepper:
             self.open.add(t)
         return t
 
-    def drain(self, pallets) -> None:
-        """Remove front bins of the given pallets, lowest queue first.
+    def drain(self, pallets) -> int:
+        """Remove front bins of the given pallets, lowest queue first, until no
+        front bin belongs to one; returns the largest open count passed, the
+        count before the drain included.
 
-        Draining never adds to the set, so one pass over the queues suffices.
+        The set stays fixed, so a drained queue never becomes eligible again
+        and one pass over the queues suffices.  This is the only loop that
+        turns a set of pallets into bin removals.
         """
+        positions, opened = self.positions, self.open
+        peak = len(opened)
         for j, seq in enumerate(self.sequences):
-            while self.positions[j] < len(seq) and seq[self.positions[j]] in pallets:
+            while positions[j] < len(seq) and seq[positions[j]] in pallets:
                 self.remove(j)
+                if len(opened) > peak:
+                    peak = len(opened)
+        return peak
 
     def follow(self, moves, observe) -> int | None:
         """Make the given moves, calling ``observe()`` after each.
@@ -100,7 +118,7 @@ class _Stepper:
                 return step
             self.remove(j)
             observe()
-        return len(moves) if self.fronts() else None
+        return None if self.finished() else len(moves)
 
 
 def replay(inst: Instance, b_sol: BinSolution) -> ReplayReport:
@@ -147,7 +165,7 @@ def transform(inst: Instance, t_sol: PalletSolution) -> BinSolution:
             raise ValueError(f"pallet id {t} out of range")
         opened.add(t)
         stepper.drain(opened)
-    if stepper.fronts():
+    if not stepper.finished():
         raise TransformStuckError(
             "stuck: no front bin matches the opened prefix and no pallets remain")
     return BinSolution(tuple(stepper.moves))

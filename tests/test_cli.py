@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from fifo_stackup import dpw_exact, parse_digraph, parse_instance
+from fifo_stackup import SplitMix64, dpw_exact, parse_digraph, parse_instance
 from fifo_stackup.cli import SolveReport, main
 
 TWO_QUEUE_TEXT = "seq 1: a a b b\nseq 2: c d e c a d b e\n"
 THREE_QUEUE_TEXT = "seq 1: a a d e d\nseq 2: b b d\nseq 3: c c d e d\n"
 RING_DIGRAPH_TEXT = "a b\nb c\nc d\nd e\ne a\ne f\nf a\n"
+# pallet-bf searches p4,p2,p6,p5,p3,p1 here, but its bins open p4,p6,p5,p3,p2,p1
+OPENING_ORDER_TEXT = "seq 1: p4 p4 p4 p1 p2\nseq 2: p6 p5\nseq 3: p3 p2 p5 p6 p3 p1 p2\n"
 
 
 @pytest.fixture
@@ -56,6 +58,28 @@ class TestSolve:
             argv += ["--max-bins", "12"]  # the two-queue sample has 12 bins
         assert main(argv) == 0
         assert "min places: 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["dp", "pallet-bf"])
+    def test_pallet_solution_is_the_opening_order(self, tmp_path, method, capsys):
+        """The reported pallet solution is the order in which the reported bin
+        solution opens pallets, not the order a solver searched."""
+        from fifo_stackup import BinSolution, GenSpec, emit_instance, generate_instance, opening_order
+
+        texts = [OPENING_ORDER_TEXT]
+        for seed in range(40):
+            rng = SplitMix64(seed + 606)
+            m = 3 + rng.below(4)
+            spec = GenSpec(pallets=m, queues=1 + rng.below(3), min_bins=1 + rng.below(2),
+                           max_bins=3, seed=seed)
+            texts.append(emit_instance(generate_instance(spec)))
+        for i, text in enumerate(texts):
+            path = tmp_path / f"i{i}.fsu"
+            path.write_text(text)
+            assert main(["solve", "--min", "--json", "--method", method, str(path)]) == 0
+            report = SolveReport.from_json(capsys.readouterr().out)
+            inst = parse_instance(text)
+            opened = opening_order(inst, BinSolution(report.bin_solution)).to_symbols(inst)
+            assert report.pallet_solution == opened, text
 
     def test_json_report_round_trips(self, two_queue_path, capsys):
         assert main(["solve", "--min", "--json", two_queue_path]) == 0
@@ -158,6 +182,12 @@ class TestGraphCommands:
         out = capsys.readouterr().out
         graph = parse_digraph(RING_DIGRAPH_TEXT)
         assert f"width: {dpw_exact(graph).width}" in out
+
+    def test_dpw_stackup_strips_inadmissible_vertices(self, tmp_path, capsys):
+        path = tmp_path / "chain.digraph"
+        path.write_text("a b\nb c\nvertex d\n")
+        assert main(["dpw", "--method", "stackup", str(path)]) == 0
+        assert capsys.readouterr().out == "width: 0\nX1: a\nX2: b\nX3: c\nX4: d\n"
 
     def test_dpw_json_and_dot(self, ring_digraph_path, capsys):
         assert main(["dpw", "--json", ring_digraph_path]) == 0

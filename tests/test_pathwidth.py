@@ -193,19 +193,17 @@ class TestDpwViaStackup:
         assert validate_decomposition(graph, result.decomposition).ok
 
     def test_single_arc_needs_strip(self):
+        # neither end is admissible: the source goes in front, the sink behind
         graph = Digraph.from_named_arcs([("a", "b")])
-        from fifo_stackup import InadmissibleDigraphError
-
-        with pytest.raises(InadmissibleDigraphError):
-            dpw_via_stackup(graph)
-        result = dpw_via_stackup(graph, strip=True)
+        result = dpw_via_stackup(graph)
         assert result.width == 0
+        assert result.decomposition.bags == (frozenset({0}), frozenset({1}))
         check = validate_decomposition(graph, result.decomposition)
         assert check.ok and check.width == 0
 
     def test_stripped_chain(self):
         graph = Digraph.from_named_arcs([("a", "b"), ("b", "c")])
-        result = dpw_via_stackup(graph, strip=True)
+        result = dpw_via_stackup(graph)
         assert result.width == 0
 
     @pytest.mark.parametrize("seed", range(30))

@@ -203,6 +203,14 @@ class TestDecompositionBridges:
         back = decomposition_to_processing(inst, decomposition)
         assert replay(inst, back).max_open <= decomposition.width + 1
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_decomposition_bridges_random_processings(self, seed):
+        inst = small_instance(seed)
+        rng = SplitMix64(seed * 17 + 5)
+        decomposition = processing_to_decomposition(inst, BinSolution(random_fifo_order(inst, rng)))
+        report = replay(inst, decomposition_to_processing(inst, decomposition))
+        assert report.valid and report.max_open <= decomposition.width + 1
+
     @pytest.mark.parametrize("seed", range(20))
     def test_arc_semantics_on_random_processings(self, seed):
         inst = small_instance(seed, min_bins=1)

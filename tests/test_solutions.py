@@ -146,6 +146,21 @@ class TestBruteForcePalletOrders:
         assert places == 1
         assert best.order == (0,)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_lexicographically_first_optimal_order(self, seed):
+        """The pruned search returns what a plain scan of every permutation
+        keeps: the first order whose processing peaks lowest."""
+        rng = SplitMix64(seed * 41 + 3)
+        m = 2 + rng.below(5)
+        min_bins = 1 if seed % 3 == 0 else 2
+        inst = generate_instance(GenSpec(pallets=m, queues=1 + rng.below(min(3, m * min_bins)),
+                                         min_bins=min_bins, max_bins=3, seed=seed + 700))
+        peaks = {order: replay(inst, transform(inst, PalletSolution(order))).max_open
+                 for order in itertools.permutations(range(m))}
+        first = min(peaks, key=peaks.get)
+        places, best = brute_force_pallet_orders(inst)
+        assert (places, best.order) == (peaks[first], first)
+
     def test_guard(self, two_queue_instance):
         with pytest.raises(BudgetError, match="factorial"):
             brute_force_pallet_orders(two_queue_instance, max_pallets=3)
