@@ -8,7 +8,7 @@ drains the fronts of open pallets.  The pallets open at S are the boundary
 b(S) of S in the sequence graph, so the search is ``_minimax_order``, the
 one ``pathwidth.dpw_exact`` runs, restricted to front pallets: the caller
 hands it the pallets of each queue in first-occurrence order, and the
-engine keeps the queue fronts itself.
+engine tells a front by the pallets ahead of it in its queue.
 
 The oracle it is checked against, the bottleneck dynamic program over the
 whole configuration grid, ``opt_bottleneck(ConfigurationDag(inst))``, lives
@@ -103,9 +103,10 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     b(start) is empty.  Any unplaced vertex may come next unless ``queues``
     is given: ``queues[i]`` lists the vertices of queue i outside ``start``,
     each once, and only the front of each queue, its first vertex not in S,
-    may come next.  Each stack entry carries the queue positions and the
+    may come next.  Whether v heads a queue depends on S alone: every vertex
+    ahead of v there is placed, a mask built once.  A stack entry carries the
     allowed mask of its parent and the vertex v placed last; at its pop v
-    leaves the allowed mask, and only the queues whose front was v walk on.
+    leaves the mask, and each queue v headed adds its next unplaced vertex.
 
     A minimax search over the sets S, with b(S) carried as a bitmask.
     Placing v drops from b(S) the vertices whose one unplaced in-neighbour is
@@ -135,45 +136,38 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     if start == full:
         return -1, []
     by_degree = sorted((mask.bit_count(), 1 << v) for v, mask in enumerate(out_mask))
-    allowed = positions = None
-    if queues is not None:
-        # per queue: its vertex bits, then a 0 sentinel; per vertex bit (and 0,
-        # the bit placed last at the start): the queues that hold it
-        fronts = [[1 << v for v in queue] + [0] for queue in queues]
-        where = {0: ()}
+    if queues is None:
+        fronts = dict.fromkeys([1 << v for v in range(n)], ())
+        allowed = full ^ start
+    else:
+        # per vertex bit, one triple per queue that holds it: the bits ahead
+        # of it, the queue's bits ending in a 0 sentinel, the index after it
+        fronts = {1 << v: [] for v in range(n)}
         allowed = 0
-        for i, bits in enumerate(fronts):
+        for queue in queues:
+            bits = [1 << v for v in queue] + [0]
             allowed |= bits[0]
-            for bit in bits[:-1]:
-                where.setdefault(bit, []).append(i)
-        positions = [0] * len(fronts)
+            ahead = 0
+            for p, bit in enumerate(bits[:-1], 1):
+                fronts[bit].append((ahead, bits, p))
+                ahead |= bit
+    fronts[0] = ()  # the bit placed last at the start
     # 1 + the vertex placed last; 0 while unseen
     last = bytearray(1 << n) if n <= _BYTE_TABLE_MAX_VERTICES else _Links()
     buckets: list[list[tuple]] = [[] for _ in range(n + 1)]
     level = next(degree for degree, bit in by_degree if not start & bit)
-    # (S, b(S), the parent's queue positions and allowed mask, the bit placed last)
-    stack = [(start, 0, positions, allowed, 0)]
+    # (S, b(S), the parent's allowed mask, the bit placed last)
+    stack = [(start, 0, allowed, 0)]
     while True:
         while stack:
-            placed, boundary, positions, allowed, bit = stack.pop()
+            placed, boundary, allowed, bit = stack.pop()
             unplaced = full ^ placed
-            if positions is None:
-                allowed = unplaced
-            else:
-                allowed ^= bit
-                copied = False
-                for i in where[bit]:
-                    bits = fronts[i]
-                    p = positions[i]
-                    if bits[p] == bit:
-                        if not copied:
-                            positions = positions.copy()
-                            copied = True
+            allowed ^= bit
+            for ahead, bits, p in fronts[bit]:
+                if not ahead & unplaced:
+                    while placed & bits[p]:
                         p += 1
-                        while placed & bits[p]:
-                            p += 1
-                        positions[i] = p
-                        allowed |= bits[p]
+                    allowed |= bits[p]
             single = -1  # set up at the first unseen successor
             moves = []
             rest = allowed
@@ -229,7 +223,7 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
                 if bound > cost:
                     cost = bound
                 (stack if cost <= level else buckets[cost]).append(
-                    (successor, grown, positions, allowed, bit))
+                    (successor, grown, allowed, bit))
         level += 1
         while not buckets[level]:
             level += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable, Sequence
 
 from ._record import Record
@@ -222,24 +223,29 @@ def strip_endpoints(graph: Digraph) -> tuple[Digraph, tuple[tuple[str, str], ...
     """Iteratively remove vertices lacking in- or out-arcs.
 
     Returns the remaining core and the removal log as (name, kind) pairs with
-    kind one of ``source``, ``sink``, ``isolated``.  Each removal is
-    width-neutral: a source fits in a singleton bag prepended to any
-    decomposition of the rest, a sink in one appended.
+    kind one of ``source``, ``sink``, ``isolated``.  Each round removes the
+    lowest-indexed such vertex.  Each removal is width-neutral: a source fits
+    in a singleton bag prepended to any decomposition of the rest, a sink in
+    one appended.  Degrees are kept as arcs leave, so a run takes
+    O((n + |E|) log n).
     """
-    names = list(graph.names)
-    arcs = set(graph.arcs)
-    alive = set(range(len(names)))
+    names = graph.names
+    successors: list[list[int]] = [[] for _ in names]
+    predecessors: list[list[int]] = [[] for _ in names]
+    for u, v in graph.arcs:
+        successors[u].append(v)
+        predecessors[v].append(u)
+    indeg, outdeg = graph.degrees()
+    alive = [True] * len(names)
+    # a min-heap of the vertices lacking in- or out-arcs, pushed whenever a
+    # degree drops to 0; a removed vertex that comes up again is skipped
+    bad = [v for v in range(len(names)) if not indeg[v] or not outdeg[v]]
     removals: list[tuple[str, str]] = []
-    while True:
-        indeg = {v: 0 for v in alive}
-        outdeg = {v: 0 for v in alive}
-        for u, v in arcs:
-            outdeg[u] += 1
-            indeg[v] += 1
-        bad = sorted(v for v in alive if indeg[v] == 0 or outdeg[v] == 0)
-        if not bad:
-            break
-        v = bad[0]
+    while bad:
+        v = heapq.heappop(bad)
+        if not alive[v]:
+            continue
+        alive[v] = False
         if indeg[v] == 0 and outdeg[v] == 0:
             kind = "isolated"
         elif indeg[v] == 0:
@@ -247,13 +253,19 @@ def strip_endpoints(graph: Digraph) -> tuple[Digraph, tuple[tuple[str, str], ...
         else:
             kind = "sink"
         removals.append((names[v], kind))
-        alive.discard(v)
-        arcs = {(a, b) for a, b in arcs if a != v and b != v}
-    remaining = sorted(alive)
+        for w in successors[v]:
+            indeg[w] -= 1
+            if not indeg[w] and alive[w]:
+                heapq.heappush(bad, w)
+        for u in predecessors[v]:
+            outdeg[u] -= 1
+            if not outdeg[u] and alive[u]:
+                heapq.heappush(bad, u)
+    remaining = [v for v in range(len(names)) if alive[v]]
     remap = {v: i for i, v in enumerate(remaining)}
     core = Digraph(
         tuple(names[v] for v in remaining),
-        frozenset((remap[a], remap[b]) for a, b in arcs),
+        frozenset((remap[a], remap[b]) for a, b in graph.arcs if alive[a] and alive[b]),
     )
     return core, tuple(removals)
 

@@ -63,11 +63,14 @@ class _Stepper:
         self.moves: list[tuple[int, int]] = []
 
     def fork(self) -> "_Stepper":
-        """An independent copy of this processing in progress."""
+        """An independent copy of this processing in progress, with an empty
+        move log: the pallet brute force, the one caller, never reads the
+        log, and ``transform`` and ``opening_order``, which read it, never
+        fork."""
         twin = _Stepper.__new__(_Stepper)
         twin.sequences, twin.counts = self.sequences, self.counts
         twin.positions, twin.removed = self.positions.copy(), self.removed.copy()
-        twin.open, twin.moves = self.open.copy(), self.moves.copy()
+        twin.open, twin.moves = self.open.copy(), []
         return twin
 
     def finished(self) -> bool:

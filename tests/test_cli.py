@@ -397,3 +397,59 @@ class TestInternalFaults:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("internal error: witness decomposition failed")
+
+
+class TestMalformedInput:
+    """Seeded texts from a token alphabet, run through every reading command:
+    each ends in exit 0, 1 or 2, and exit 2 ends stderr with its one
+    ``error:`` line."""
+
+    SYMBOLS = ("a", "b", "p1", "p2", "x_y", "vertex")
+    TOKENS = SYMBOLS + ("seq", "1", "2", "3", "0", "12", ":", "#", "-", "é", " ", "\t",
+                        "\x00", "٣", "１", "\n")
+    COMMANDS = (["solve", "--min"], ["solve", "-p", "2", "--method", "pallet-bf"], ["dpw"],
+                ["dpw", "--method", "stackup"], ["seqgraph"], ["reduce", "--strip"])
+
+    @classmethod
+    def text(cls, rng):
+        def pick(tokens):
+            return tokens[rng.below(len(tokens))]
+
+        shape = rng.below(3)  # sequence lines, arc lines, or token soup
+        lines = []
+        for index in range(1, 2 + rng.below(5)):
+            if shape == 0:
+                number = index if rng.below(6) else rng.below(4)
+                symbols = " ".join(pick(cls.SYMBOLS[:5]) for _ in range(1 + rng.below(4)))
+                lines.append(f"seq {number}: {symbols}")
+            elif shape == 1:
+                lines.append(f"{pick(cls.SYMBOLS)} {pick(cls.SYMBOLS)}")
+            else:
+                lines.append("".join(pick(cls.TOKENS) for _ in range(1 + rng.below(8))))
+            if rng.below(4) == 0:  # one stray token somewhere in the line
+                at = rng.below(len(lines[-1]) + 1)
+                lines[-1] = lines[-1][:at] + pick(cls.TOKENS) + lines[-1][at:]
+        return "\n".join(lines) + "\n" * rng.below(2)
+
+    def test_every_command_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        import fifo_stackup.cli as cli
+
+        # main builds its parser per call, which would cost most of the time here
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        rng = SplitMix64(6)
+        path = tmp_path / "input.txt"
+        codes = {}
+        for _ in range(1000):
+            path.write_text(self.text(rng), encoding="utf-8")
+            for command in self.COMMANDS:
+                code = main([*command, str(path)])
+                captured = capsys.readouterr()
+                assert code in (0, 1, 2), (command, path.read_text(encoding="utf-8"), captured)
+                if code == 2:  # after any notes, such as those of reduce --strip
+                    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+                    assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n"), (
+                        command, captured)
+                codes[code] = codes.get(code, 0) + 1
+        # the corpus reaches past the parsers, not only their error paths
+        assert codes.get(0, 0) > 300 and codes.get(2, 0) > 300, codes

@@ -97,6 +97,62 @@ class TestReduce:
         assert removals == (("z", "sink"),)
         assert set(core.names) == {"x", "y"}
 
+    @staticmethod
+    def strip_by_recount(graph):
+        """The plain loop: recount every degree, remove the lowest-indexed
+        vertex lacking in- or out-arcs, rebuild the arc set, repeat."""
+        names = list(graph.names)
+        arcs = set(graph.arcs)
+        alive = set(range(len(names)))
+        removals = []
+        while True:
+            indeg = {v: 0 for v in alive}
+            outdeg = {v: 0 for v in alive}
+            for u, v in arcs:
+                outdeg[u] += 1
+                indeg[v] += 1
+            bad = sorted(v for v in alive if indeg[v] == 0 or outdeg[v] == 0)
+            if not bad:
+                break
+            v = bad[0]
+            if indeg[v] == 0 and outdeg[v] == 0:
+                kind = "isolated"
+            elif indeg[v] == 0:
+                kind = "source"
+            else:
+                kind = "sink"
+            removals.append((names[v], kind))
+            alive.discard(v)
+            arcs = {(a, b) for a, b in arcs if a != v and b != v}
+        remaining = sorted(alive)
+        remap = {v: i for i, v in enumerate(remaining)}
+        core = Digraph(tuple(names[v] for v in remaining),
+                       frozenset((remap[a], remap[b]) for a, b in arcs))
+        return core, tuple(removals)
+
+    def test_strip_endpoints_matches_recount(self):
+        """Random digraphs with 1-14 vertices, isolated vertices and 2-cycles
+        among them."""
+        rng = SplitMix64(2024)
+        for _ in range(1500):
+            n = 1 + rng.below(14)
+            density = 1 + rng.below(6)
+            arcs = frozenset((u, v) for u in range(n) for v in range(n)
+                             if u != v and rng.below(n + 8) < density)
+            graph = Digraph(tuple(f"v{i}" for i in range(n)), arcs)
+            assert strip_endpoints(graph) == self.strip_by_recount(graph)
+
+    def test_strip_endpoints_long_path_is_fast(self):
+        import time
+
+        n = 20_000
+        graph = Digraph(tuple(f"v{i}" for i in range(n)),
+                        frozenset((i, i + 1) for i in range(n - 1)))
+        start = time.perf_counter()
+        core, removals = strip_endpoints(graph)
+        assert time.perf_counter() - start < 2.0
+        assert core.vertex_count == 0 and len(removals) == n
+
 
 class TestValidateDecomposition:
     def test_paper_width_one(self, three_queue_instance):

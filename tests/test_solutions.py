@@ -21,6 +21,7 @@ from fifo_stackup import (
     transform,
 )
 from fifo_stackup.oracles import brute_force_bin_orders, brute_force_pallet_orders
+from fifo_stackup.solutions import _Stepper
 
 from conftest import TWO_QUEUE_PROCESSING, THREE_QUEUE_PROCESSING, random_fifo_order, tiny_instance
 
@@ -129,6 +130,29 @@ class TestReplay:
         prefix = BinSolution(TWO_QUEUE_PROCESSING[:5])
         assert opening_order(two_queue_instance, prefix).to_symbols(two_queue_instance) == (
             "c", "d", "e", "a")
+
+
+class TestStepperFork:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_draining_a_fork_leaves_the_parent(self, seed):
+        inst = generate_instance(GenSpec(pallets=6, queues=1 + seed % 3,
+                                         min_bins=1 + seed % 2, seed=seed + 900))
+        order = list(range(inst.m))
+        SplitMix64(seed).shuffle(order)
+        parent = _Stepper(inst)
+        parent.drain(set(order[:2]))
+        before = (parent.positions.copy(), parent.removed.copy(), set(parent.open),
+                  parent.moves.copy())
+        twin = parent.fork()
+        twin.drain(set(order[:4]))
+        assert (parent.positions, parent.removed, parent.open, parent.moves) == before
+        # the twin picks up where the parent stood, with a log of its own moves
+        whole = _Stepper(inst)
+        whole.drain(set(order[:2]))
+        whole.drain(set(order[:4]))
+        assert (twin.positions, twin.removed, twin.open) == (
+            whole.positions, whole.removed, whole.open)
+        assert twin.moves == whole.moves[len(before[3]):]
 
 
 class TestBruteForcePalletOrders:
