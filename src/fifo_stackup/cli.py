@@ -8,20 +8,13 @@ fault (a solver's witness that fails its replay or certification).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from pathlib import Path
 
-from ._record import Record
-from .errors import (
-    BudgetError,
-    DigraphFormatError,
-    InadmissibleDigraphError,
-    InstanceFormatError,
-    InternalError,
-    TransformStuckError,
-)
+from .errors import BudgetError, InstanceFormatError, InternalError, TransformStuckError
 from .instance import Instance, emit_instance, parse_instance, validate
 from .pathwidth import DEFAULT_MAX_VERTICES, dpw_exact, dpw_via_stackup
 from .processing import (
@@ -45,44 +38,27 @@ from .solutions import PalletSolution, opening_order, replay, transform
 METHODS = ("dp", "pallet-bf", "bin-bf")
 
 
-class SolveReport(Record):
-    """Solver outcome in a JSON-stable shape.
+def _read(path) -> str:
+    """The text of an input file, as UTF-8 whatever the locale."""
+    return Path(path).read_text(encoding="utf-8")
 
-    ``bin_solution`` moves are (0-based sequence index, 1-based position)
-    pairs; brute-force bin counting carries no witnesses.
-    """
 
-    instance: str
-    method: str
-    min_places: int
-    pallet_solution: tuple[str, ...] | None
-    bin_solution: tuple[tuple[int, int], ...] | None
-    max_open: int | None
-    open_trace: tuple[int, ...] | None
-    time_seconds: float
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolveReport":
-        payload = json.loads(text)
-        for key in ("pallet_solution", "bin_solution", "open_trace"):
-            if payload[key] is not None:
-                payload[key] = tuple(tuple(x) if isinstance(x, list) else x for x in payload[key])
-        return cls(**payload)
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _format_moves(moves: tuple[tuple[int, int], ...]) -> str:
     return " ".join(f"q{j + 1}[{pos}]" for j, pos in moves)
 
 
-def _run_method(inst: Instance, name: str, method: str, args) -> SolveReport:
+def _run_method(inst: Instance, name: str, method: str, args) -> dict:
     """Solve by the named method; the single place where a solver is picked.
 
-    A witness is replayed, and one that is not a complete processing peaking
-    at the reported place count raises InternalError.  The pallet solution
-    reported is the order in which the bin solution opens pallets.
+    Returns the ``solve --json`` payload.  A witness is replayed, and one that
+    is not a complete processing peaking at the reported place count raises
+    InternalError.  The pallet solution reported is the order in which the bin
+    solution opens pallets; ``bin-bf`` has no witness, so its witness keys
+    are None.
     """
     if method != "dp":
         from . import oracles
@@ -110,46 +86,46 @@ def _run_method(inst: Instance, name: str, method: str, args) -> SolveReport:
         symbols = pallet_solution.to_symbols(inst)
     else:
         max_open = trace = moves = symbols = None
-    return SolveReport(
-        instance=name,
-        method=method,
-        min_places=places,
-        pallet_solution=symbols,
-        bin_solution=moves,
-        max_open=max_open,
-        open_trace=trace,
-        time_seconds=elapsed,
-    )
+    return {
+        "instance": name,
+        "method": method,
+        "min_places": places,
+        "pallet_solution": symbols,
+        "bin_solution": moves,
+        "max_open": max_open,
+        "open_trace": trace,
+        "time_seconds": elapsed,
+    }
 
 
 def _cmd_solve(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
+    inst = parse_instance(_read(args.instance))
     report = _run_method(inst, Path(args.instance).name, args.method, args)
-    yes = args.places is None or report.min_places <= args.places
+    yes = args.places is None or report["min_places"] <= args.places
     if args.json:
-        print(report.to_json())
+        _print_json(report)
     else:
         if args.places is None:
-            print(f"min places: {report.min_places}")
+            print(f"min places: {report['min_places']}")
         else:
             print("yes" if yes else "no")
-        if yes and report.pallet_solution is not None:
-            print(f"pallet solution: {','.join(report.pallet_solution)}")
-            print(f"bin solution: {_format_moves(report.bin_solution)}")
+        if yes and report["pallet_solution"] is not None:
+            print(f"pallet solution: {','.join(report['pallet_solution'])}")
+            print(f"bin solution: {_format_moves(report['bin_solution'])}")
     return 0 if yes else 1
 
 
 def _cmd_transform(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
+    inst = parse_instance(_read(args.instance))
     pallet_solution = PalletSolution.from_symbols(inst, args.pallets.split(","))
     bin_solution = transform(inst, pallet_solution)
     report = replay(inst, bin_solution)
     if args.json:
-        print(json.dumps({
-            "pallet_solution": list(pallet_solution.to_symbols(inst)),
-            "bin_solution": [list(move) for move in bin_solution.moves],
+        _print_json({
+            "pallet_solution": pallet_solution.to_symbols(inst),
+            "bin_solution": bin_solution.moves,
             "max_open": report.max_open,
-        }, indent=2, sort_keys=True))
+        })
     else:
         print(f"bin solution: {_format_moves(bin_solution.moves)}")
         print(f"max open: {report.max_open}")
@@ -157,14 +133,14 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_seqgraph(args) -> int:
-    inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
+    inst = parse_instance(_read(args.instance))
     graph = build_sequence_graph(inst)
     print(digraph_to_dot(graph) if args.dot else emit_digraph(graph), end="")
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    graph = parse_digraph(Path(args.digraph).read_text(encoding="utf-8"))
+    graph = parse_digraph(_read(args.digraph))
     if args.strip:
         graph, removals = strip_endpoints(graph)
         for name, kind in removals:
@@ -175,7 +151,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_dpw(args) -> int:
-    graph = parse_digraph(Path(args.digraph).read_text(encoding="utf-8"))
+    graph = parse_digraph(_read(args.digraph))
     if args.method == "subset":
         result = dpw_exact(graph, max_vertices=args.max_vertices)
     else:
@@ -184,10 +160,10 @@ def _cmd_dpw(args) -> int:
         print(decomposition_to_dot(graph, result.decomposition), end="")
         return 0
     if args.json:
-        print(json.dumps({
+        _print_json({
             "width": result.width,
             "bags": [sorted(graph.names[v] for v in bag) for bag in result.decomposition.bags],
-        }, indent=2, sort_keys=True))
+        })
         return 0
     print(f"width: {result.width}")
     for i, bag in enumerate(result.decomposition.bags, start=1):
@@ -238,7 +214,7 @@ def _cmd_bench(args) -> int:
     internal = False
     for path in corpus:
         try:
-            inst = parse_instance(path.read_text(encoding="utf-8"))
+            inst = parse_instance(_read(path))
         except (InstanceFormatError, UnicodeDecodeError, OSError) as exc:
             errors.append(f"could not read {path.name}: {exc}")
             rows.extend({"instance": path.name, "method": method, "value": None,
@@ -249,7 +225,7 @@ def _cmd_bench(args) -> int:
         for method in methods:
             try:
                 report = _run_method(inst, path.name, method, args)
-                value, seconds, status = report.min_places, report.time_seconds, "ok"
+                value, seconds, status = report["min_places"], report["time_seconds"], "ok"
                 values[method] = value
             except BudgetError as exc:
                 value, seconds, status = None, 0.0, f"skipped: {exc}"
@@ -267,7 +243,7 @@ def _cmd_bench(args) -> int:
         if len(set(values.values())) > 1:
             errors.append(f"methods disagree on {path.name}: {values}")
     if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        _print_json(rows)
     else:
         import csv
 
@@ -282,7 +258,9 @@ def _cmd_bench(args) -> int:
     return 3 if internal else 2 if errors else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="fifo-stackup",
         description="Exact solvers for the FIFO stack-up problem and directed pathwidth.")
@@ -357,12 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, DigraphFormatError, BudgetError, TransformStuckError,
-            InadmissibleDigraphError, ValueError, OSError) as exc:
+    except (BudgetError, TransformStuckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

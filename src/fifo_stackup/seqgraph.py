@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from ._record import Record
 from .errors import DigraphFormatError, InadmissibleDigraphError
@@ -36,19 +36,17 @@ class Digraph(Record):
         cls,
         arcs: Iterable[tuple[str, str]],
         isolated: Iterable[str] = (),
-        names: Sequence[str] | None = None,
     ) -> "Digraph":
+        """Number the vertices in order of first appearance: arc endpoints,
+        then the ``isolated`` names."""
         arcs = list(arcs)
-        if names is None:
-            interned: dict[str, int] = {}
-            for u, v in arcs:
-                interned.setdefault(u, len(interned))
-                interned.setdefault(v, len(interned))
-            for w in isolated:
-                interned.setdefault(w, len(interned))
-            names = tuple(interned)
-        lookup = {name: i for i, name in enumerate(names)}
-        return cls(tuple(names), frozenset((lookup[u], lookup[v]) for u, v in arcs))
+        interned: dict[str, int] = {}
+        for u, v in arcs:
+            interned.setdefault(u, len(interned))
+            interned.setdefault(v, len(interned))
+        for w in isolated:
+            interned.setdefault(w, len(interned))
+        return cls(tuple(interned), frozenset((interned[u], interned[v]) for u, v in arcs))
 
     @property
     def vertex_count(self) -> int:

@@ -76,18 +76,18 @@ def random_fifo_order(inst, rng):
 def sym_path(n):
     arcs = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]
     arcs += [(v, u) for u, v in arcs]
-    return Digraph.from_named_arcs(arcs, names=[f"v{i}" for i in range(n)])
+    return Digraph.from_named_arcs(arcs, isolated=[f"v{i}" for i in range(n)])
 
 
 def sym_cycle(n):
     arcs = [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
     arcs += [(v, u) for u, v in arcs]
-    return Digraph.from_named_arcs(arcs, names=[f"v{i}" for i in range(n)])
+    return Digraph.from_named_arcs(arcs, isolated=[f"v{i}" for i in range(n)])
 
 
 def sym_clique(n):
     arcs = [(f"v{i}", f"v{j}") for i in range(n) for j in range(n) if i != j]
-    return Digraph.from_named_arcs(arcs, names=[f"v{i}" for i in range(n)])
+    return Digraph.from_named_arcs(arcs, isolated=[f"v{i}" for i in range(n)])
 
 
 def random_dag(rng, max_vertices=10):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,13 +8,28 @@ from pathlib import Path
 import pytest
 
 from fifo_stackup import SplitMix64, dpw_exact, parse_digraph, parse_instance
-from fifo_stackup.cli import SolveReport, main
+from fifo_stackup.cli import main
 
 TWO_QUEUE_TEXT = "seq 1: a a b b\nseq 2: c d e c a d b e\n"
 THREE_QUEUE_TEXT = "seq 1: a a d e d\nseq 2: b b d\nseq 3: c c d e d\n"
 RING_DIGRAPH_TEXT = "a b\nb c\nc d\nd e\ne a\ne f\nf a\n"
 # pallet-bf searches p4,p2,p6,p5,p3,p1 here, but its bins open p4,p6,p5,p3,p2,p1
 OPENING_ORDER_TEXT = "seq 1: p4 p4 p4 p1 p2\nseq 2: p6 p5\nseq 3: p3 p2 p5 p6 p3 p1 p2\n"
+JSON_KEYS = ("instance", "method", "min_places", "pallet_solution", "bin_solution", "max_open",
+             "open_trace", "time_seconds")
+PINNED_PATH = Path(__file__).resolve().parent / "test_cli_pinned.py"
+
+
+def load_pinned():
+    """The pinned CLI cases, loaded from their file, so that this module does
+    not depend on how pytest puts the test files on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location("pinned_cli_cases", PINNED_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PINNED = load_pinned()
 
 
 @pytest.fixture
@@ -76,18 +92,31 @@ class TestSolve:
             path = tmp_path / f"i{i}.fsu"
             path.write_text(text)
             assert main(["solve", "--min", "--json", "--method", method, str(path)]) == 0
-            report = SolveReport.from_json(capsys.readouterr().out)
+            report = json.loads(capsys.readouterr().out)
             inst = parse_instance(text)
-            opened = opening_order(inst, BinSolution(report.bin_solution)).to_symbols(inst)
-            assert report.pallet_solution == opened, text
+            moves = tuple(map(tuple, report["bin_solution"]))
+            opened = opening_order(inst, BinSolution(moves)).to_symbols(inst)
+            assert tuple(report["pallet_solution"]) == opened, text
 
     def test_json_report_round_trips(self, two_queue_path, capsys):
         assert main(["solve", "--min", "--json", two_queue_path]) == 0
-        report = SolveReport.from_json(capsys.readouterr().out)
-        assert report.min_places == 3
-        assert report.max_open == 3
-        assert report.to_json() == SolveReport.from_json(report.to_json()).to_json()
-        assert SolveReport.from_json(report.to_json()) == report
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert sorted(report) == sorted(JSON_KEYS)
+        assert report["min_places"] == report["max_open"] == 3
+        assert report["instance"] == "ex1.fsu" and report["method"] == "dp"
+        assert len(report["open_trace"]) == len(report["bin_solution"]) + 1
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == out
+
+    def test_json_report_without_witness(self, two_queue_path, capsys):
+        """bin-bf only counts, so every witness key of its payload is null."""
+        assert main(["solve", "--min", "--json", "--method", "bin-bf", "--max-bins", "12",
+                     two_queue_path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report) == sorted(JSON_KEYS)
+        assert report["min_places"] == 3
+        for key in ("pallet_solution", "bin_solution", "max_open", "open_trace"):
+            assert report[key] is None, key
 
     def test_budget_guard_exit_code(self, two_queue_path, capsys):
         assert main(["solve", "--min", "--budget", "4", two_queue_path]) == 2
@@ -431,12 +460,7 @@ class TestMalformedInput:
                 lines[-1] = lines[-1][:at] + pick(cls.TOKENS) + lines[-1][at:]
         return "\n".join(lines) + "\n" * rng.below(2)
 
-    def test_every_command_fails_cleanly(self, tmp_path, capsys, monkeypatch):
-        import fifo_stackup.cli as cli
-
-        # main builds its parser per call, which would cost most of the time here
-        parser = cli.build_parser()
-        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    def test_every_command_fails_cleanly(self, tmp_path, capsys):
         rng = SplitMix64(6)
         path = tmp_path / "input.txt"
         codes = {}
@@ -453,3 +477,26 @@ class TestMalformedInput:
                 codes[code] = codes.get(code, 0) + 1
         # the corpus reaches past the parsers, not only their error paths
         assert codes.get(0, 0) > 300 and codes.get(2, 0) > 300, codes
+
+
+def test_pinned_cases_in_one_process(tmp_path, capsys, monkeypatch):
+    """Every pinned case, twice in order, through the ``main`` of one process.
+    The parser is built once per process, so no call may leave state behind
+    that changes the output or exit code of a later one."""
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for directory in (tmp_path, corpus):
+        (directory / "ex1.fsu").write_text(PINNED.TWO_QUEUE_TEXT, encoding="utf-8")
+        (directory / "ex4.fsu").write_text(PINNED.THREE_QUEUE_TEXT, encoding="utf-8")
+    (tmp_path / "ex5.digraph").write_text(PINNED.RING_DIGRAPH_TEXT, encoding="utf-8")
+    files = {"two": str(tmp_path / "ex1.fsu"), "three": str(tmp_path / "ex4.fsu"),
+             "ring": str(tmp_path / "ex5.digraph"), "corpus": str(corpus)}
+    for name, argv, code, stdout in PINNED.CASES * 2:
+        try:
+            got = main([arg.format(**files) for arg in argv])
+        except SystemExit as exc:  # --help exits from inside argparse
+            got = exc.code
+        # csv ends rows in \r\n, which the pinned test's text-mode pipe reads as \n
+        out = capsys.readouterr().out.replace("\r\n", "\n")
+        assert (got, PINNED.mask_times(out)) == (code, PINNED.as_this_python_prints(stdout)), name
