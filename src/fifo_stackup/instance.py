@@ -126,7 +126,11 @@ def parse_instance(text: str) -> Instance:
 
 
 def emit_instance(inst: Instance) -> str:
-    """Serialize an instance in the text format accepted by parse_instance."""
+    """Serialize an instance in the text format accepted by parse_instance;
+    a symbol that format cannot hold raises ValueError."""
+    for sym in inst.symbols:
+        if SYMBOL_RE.fullmatch(sym) is None:
+            raise ValueError(f"illegal pallet symbol {sym!r} for the instance format")
     lines = []
     for i, seq in enumerate(inst.sequences, start=1):
         lines.append(f"seq {i}: " + " ".join(inst.symbols[t] for t in seq))

@@ -14,7 +14,9 @@ run code from here; every default route is checked against it in the tests.
   open-pallet count, and the bottleneck dynamic program over it,
   ``opt_bottleneck(ConfigurationDag(inst))``: the oracle for
   ``solve_min_places``, with ``val_threshold_oracle`` as a second,
-  independent evaluation of any small DAG.
+  independent evaluation of any small DAG.  The DP walks the mixed-radix
+  configuration codes in increasing order, which is topological, and
+  refuses grids above its own cap, ``MAX_GRID_CONFIGURATIONS``.
 * Brute force over all pallet orders and over all FIFO bin interleavings.
 * ``dpw_table``, a dynamic program over the full table of 2^n vertex
   subsets, the oracle for ``dpw_exact``; and ``dpw_brute_force``, which
@@ -37,16 +39,15 @@ from .pathwidth import (
     _arc_masks,
     _ordering_result,
 )
-from .processing import (
-    DEFAULT_CONFIGURATION_BUDGET,
-    DEFAULT_MAX_BINS,
-    DEFAULT_MAX_PALLETS,
-    grid_size,
-)
+from .processing import DEFAULT_MAX_BINS, DEFAULT_MAX_PALLETS, grid_size
 from .seqgraph import Digraph, DirectedPathDecomposition
 from .solutions import PalletSolution, _Stepper
 
 INFINITY = math.inf
+# The grid DP keeps three dicts keyed by configuration.  Its peak RSS was
+# 222-279 B per configuration between 1.0e6 and 3.7e6 configurations (the
+# most just after the dicts resize), so this cap holds it under about 2.3 GB.
+MAX_GRID_CONFIGURATIONS = 8_000_000
 
 
 # --- the configuration DAG and the bottleneck dynamic program ----------------
@@ -230,21 +231,23 @@ class ConfigurationDag:
 
     Vertices are mixed-radix encodings of configurations (last coordinate
     fastest); predecessors are derived arithmetically by decrementing one
-    coordinate, so no arc list is ever materialized.  Vertex values are
+    coordinate, so no arc list is ever materialized.  A predecessor's code
+    is smaller than its vertex's, so the codes in increasing order are a
+    topological order, and the walk is ``range(count)``.  Vertex values are
     open-pallet counts, computed incrementally via open_delta from one
-    predecessor per vertex.
+    predecessor per vertex.  Grids above ``MAX_GRID_CONFIGURATIONS`` raise
+    BudgetError.
     """
 
-    def __init__(self, inst: Instance, max_configurations: int = DEFAULT_CONFIGURATION_BUDGET):
+    def __init__(self, inst: Instance):
         self.instance = inst
         self.index = build_pallet_index(inst)
-        self.limits = tuple(len(seq) for seq in inst.sequences)
-        self.count = count = grid_size(inst, max_configurations)
+        self.count = count = grid_size(inst, MAX_GRID_CONFIGURATIONS)
         strides = []
         stride = 1
-        for limit in reversed(self.limits):
+        for seq in reversed(inst.sequences):
             strides.append(stride)
-            stride *= limit + 1
+            stride *= len(seq) + 1
         self.strides = tuple(reversed(strides))
         self.source = 0
         self.target = count - 1
@@ -262,25 +265,7 @@ class ConfigurationDag:
         return tuple(digits)
 
     def topological_vertices(self) -> Iterator[int]:
-        """All configurations by increasing coordinate sum, lexicographic within a layer."""
-        limits, strides = self.limits, self.strides
-        k = len(limits)
-        tail = [0] * (k + 1)
-        for j in range(k - 1, -1, -1):
-            tail[j] = tail[j + 1] + limits[j]
-
-        def emit(j: int, remaining: int, base: int) -> Iterator[int]:
-            if j == k:
-                yield base
-                return
-            cap = tail[j + 1]
-            low = remaining - cap if remaining > cap else 0
-            high = limits[j] if limits[j] < remaining else remaining
-            for digit in range(low, high + 1):
-                yield from emit(j + 1, remaining - digit, base + digit * strides[j])
-
-        for total in range(tail[0] + 1):
-            yield from emit(0, total, 0)
+        return iter(range(self.count))
 
     def predecessors(self, v: int) -> list[int]:
         preds = []

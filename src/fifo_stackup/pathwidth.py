@@ -105,14 +105,17 @@ def dpw_via_stackup(
     """Directed pathwidth through the stack-up route.
 
     Vertices lacking in- or out-arcs are stripped first and reattached as
-    singleton bags (sources and isolated vertices in front, sinks at the
-    back), which leaves the width unchanged and an admissible graph as it is.
-    The rest is reduced to its queue system, solved for the minimum number
-    of stack-up places, and the decomposition is read off the witness
-    processing; the width is the place count minus one.
+    singleton bags (sources and isolated vertices in front, in removal order;
+    sinks at the back, in reverse removal order), which leaves the width
+    unchanged and an admissible graph as it is.  The rest is reduced to its
+    queue system, solved for the minimum number of stack-up places, and the
+    decomposition is read off the witness processing; the width is the place
+    count minus one.
     """
     core, removals = strip_endpoints(graph)
     lookup = {name: i for i, name in enumerate(graph.names)}
+    front = [frozenset((lookup[name],)) for name, kind in removals if kind != "sink"]
+    back = [frozenset((lookup[name],)) for name, kind in reversed(removals) if kind == "sink"]
     if core.vertex_count == 0:
         bags: list[frozenset[int]] = []
     else:
@@ -126,13 +129,7 @@ def dpw_via_stackup(
             frozenset(lookup[inst.symbols[t]] for t in bag)
             for bag in core_decomposition.bags
         ]
-    for name, kind in reversed(removals):
-        bag = frozenset((lookup[name],))
-        if kind == "sink":
-            bags.append(bag)
-        else:
-            bags.insert(0, bag)
-    decomposition = DirectedPathDecomposition(tuple(bags))
+    decomposition = DirectedPathDecomposition(tuple(front + bags + back))
     width = decomposition.width
     _certify(graph, decomposition, width)
     return DpwResult(width, decomposition)

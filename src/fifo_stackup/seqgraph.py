@@ -99,7 +99,11 @@ def parse_digraph(text: str) -> Digraph:
 
 def emit_digraph(graph: Digraph) -> str:
     """Serialize a digraph in the format accepted by parse_digraph, sorted;
-    a vertex named ``vertex``, which the format reserves, raises ValueError."""
+    a name that format cannot hold, or ``vertex``, which it reserves, raises
+    ValueError."""
+    for name in graph.names:
+        if SYMBOL_RE.fullmatch(name) is None:
+            raise ValueError(f"illegal vertex name {name!r} for the digraph format")
     if "vertex" in graph.names:
         raise ValueError("vertex name 'vertex' is reserved in the digraph format")
     indeg, outdeg = graph.degrees()
@@ -328,6 +332,7 @@ def decomposition_to_dot(graph: Digraph, decomposition: DirectedPathDecompositio
     """Deterministic DOT rendering of a decomposition: bags as clusters,
     arcs drawn between the first bags holding their endpoints."""
     alpha, _ = decomposition.intervals()
+    index = {name: v for v, name in enumerate(graph.names)}
     lines = ["digraph decomposition {"]
     for i, bag in enumerate(decomposition.bags, start=1):
         lines.append(f"  subgraph cluster_{i} {{")
@@ -336,8 +341,6 @@ def decomposition_to_dot(graph: Digraph, decomposition: DirectedPathDecompositio
             lines.append(f'    "b{i}_{name}" [label="{name}"];')
         lines.append("  }")
     for u, v in sorted(graph.arc_names()):
-        iu = alpha[graph.names.index(u)]
-        iv = alpha[graph.names.index(v)]
-        lines.append(f'  "b{iu}_{u}" -> "b{iv}_{v}";')
+        lines.append(f'  "b{alpha[index[u]]}_{u}" -> "b{alpha[index[v]]}_{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -57,6 +57,16 @@ class TestParse:
     def test_round_trip(self, two_queue_instance):
         assert parse_instance(emit_instance(two_queue_instance)) == two_queue_instance
 
+    @pytest.mark.parametrize("lists, bad", [
+        ([["a b", "c"], ["c", "a b"]], "a b"),  # would read back as three pallets
+        ([["c", "x-1", "é"]], "x-1"),  # the first symbol outside SYMBOL_RE is named
+        ([["a", ""]], ""),
+        ([["a#b", "a"]], "a#b"),
+    ])
+    def test_emit_rejects_unwritable_symbol(self, lists, bad):
+        with pytest.raises(ValueError, match=f"illegal pallet symbol {bad!r}"):
+            emit_instance(Instance.from_pallet_lists(lists))
+
     def test_interning_round_trip(self):
         text = "seq 1: z9 A _u z9\nseq 2: A _u\n"
         inst = parse_instance(text)

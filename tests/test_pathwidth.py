@@ -11,6 +11,7 @@ from fifo_stackup import (
     generate_instance,
     random_admissible_digraph,
     solve_min_places,
+    strip_endpoints,
     validate_decomposition,
 )
 from fifo_stackup.oracles import dpw_brute_force, dpw_table, search_decomposition_by_bags
@@ -205,6 +206,54 @@ class TestDpwViaStackup:
         graph = Digraph.from_named_arcs([("a", "b"), ("b", "c")])
         result = dpw_via_stackup(graph)
         assert result.width == 0
+
+    @staticmethod
+    def reattach_by_insert(graph, core_bags, removals):
+        """The plain loop: walk the removal log backwards, putting sources and
+        isolated vertices in front one at a time and sinks at the back."""
+        lookup = {name: i for i, name in enumerate(graph.names)}
+        bags = list(core_bags)
+        for name, kind in reversed(removals):
+            bag = frozenset((lookup[name],))
+            if kind == "sink":
+                bags.append(bag)
+            else:
+                bags.insert(0, bag)
+        return tuple(bags)
+
+    def test_reattached_bags_match_insert_loop(self):
+        """Random digraphs with 1-8 vertices, sources, sinks and isolated
+        vertices among them; the core is solved on its own for the middle."""
+        rng = SplitMix64(4049)
+        kinds = set()
+        mixed = 0
+        for _ in range(300):
+            graph = random_digraph(rng, 1 + rng.below(8), percent=5 + rng.below(30))
+            core, removals = strip_endpoints(graph)
+            if len(core.arcs) > 16:
+                continue  # 3^arcs would trip the grid guard
+            kinds.update(kind for _, kind in removals)
+            mixed += bool(removals) and core.vertex_count > 0
+            lookup = {name: i for i, name in enumerate(graph.names)}
+            core_bags = ()
+            if core.vertex_count:
+                core_bags = tuple(frozenset(lookup[core.names[v]] for v in bag)
+                                  for bag in dpw_via_stackup(core).decomposition.bags)
+            expected = self.reattach_by_insert(graph, core_bags, removals)
+            assert dpw_via_stackup(graph).decomposition.bags == expected
+        assert kinds == {"source", "sink", "isolated"}
+        assert mixed >= 30
+
+    def test_long_path_is_fast(self):
+        import time
+
+        n = 100_000
+        graph = Digraph(tuple(f"v{i}" for i in range(n)),
+                        frozenset((i, i + 1) for i in range(n - 1)))
+        start = time.perf_counter()
+        result = dpw_via_stackup(graph)
+        assert time.perf_counter() - start < 2.5
+        assert result.width == 0 and len(result.decomposition.bags) == n
 
     @pytest.mark.parametrize("seed", range(30))
     def test_cross_oracle_agreement(self, seed):

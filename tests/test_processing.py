@@ -16,6 +16,7 @@ from fifo_stackup import (
 )
 from fifo_stackup.instance import build_pallet_index
 from fifo_stackup.oracles import (
+    MAX_GRID_CONFIGURATIONS,
     ConfigurationDag,
     ExplicitDag,
     cut,
@@ -147,18 +148,39 @@ class TestOpenDelta:
 
 
 class TestConfigurationDag:
-    def test_enumeration_is_layered_and_complete(self, two_queue_instance):
-        dag = ConfigurationDag(two_queue_instance)
-        seen = list(dag.topological_vertices())
-        assert len(seen) == len(set(seen)) == dag.count
-        sums = [sum(dag.decode(v)) for v in seen]
-        assert sums == sorted(sums)
-        # lexicographic within a layer
-        by_layer = {}
-        for v in seen:
-            by_layer.setdefault(sum(dag.decode(v)), []).append(dag.decode(v))
-        for layer in by_layer.values():
-            assert layer == sorted(layer)
+    def test_walk_is_complete_and_topological(self, two_queue_instance, three_queue_instance):
+        for inst in (two_queue_instance, three_queue_instance):
+            dag = ConfigurationDag(inst)
+            seen = list(dag.topological_vertices())
+            assert sorted(seen) == list(range(dag.count))
+            position = {v: i for i, v in enumerate(seen)}
+            for v in seen:
+                for u in dag.predecessors(v):
+                    assert position[u] < position[v]
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_layered_walk_gives_the_same_result(self, seed):
+        """The DP over the grid listed by coordinate sum, lexicographic within
+        a layer, with each vertex's predecessors in the same order: equal
+        value and equal witness path."""
+        inst = crosscheck_instance(seed)
+        dag = ConfigurationDag(inst)
+        values = {v: dag.value(v) for v in dag.topological_vertices()}
+        layered = sorted(values, key=lambda v: (sum(dag.decode(v)), dag.decode(v)))
+        arcs = [(u, v) for v in layered for u in dag.predecessors(v)]
+        explicit = ExplicitDag(layered, arcs, values, dag.source, dag.target)
+        assert opt_bottleneck(explicit) == opt_bottleneck(ConfigurationDag(inst))
+
+    def test_grid_cap_trips_before_the_solver_budget(self):
+        """A grid just above MAX_GRID_CONFIGURATIONS: the DP refuses it, the
+        solver, whose budget is larger, solves it."""
+        inst = generate_instance(GenSpec(pallets=16, queues=12, seed=34))
+        assert MAX_GRID_CONFIGURATIONS < grid_size(inst, 10**12) <= 1.05 * MAX_GRID_CONFIGURATIONS
+        with pytest.raises(BudgetError, match="state space too large"):
+            ConfigurationDag(inst)
+        places, bin_solution, _ = solve_min_places(inst)
+        report = replay(inst, bin_solution)
+        assert report.valid and report.max_open == places
 
     def test_predecessors_decrement_one_coordinate(self, two_queue_instance):
         dag = ConfigurationDag(two_queue_instance)

@@ -12,6 +12,7 @@ from fifo_stackup import (
     decomposition_to_dot,
     decomposition_to_processing,
     digraph_to_dot,
+    dpw_exact,
     emit_digraph,
     parse_digraph,
     processing_to_decomposition,
@@ -330,6 +331,22 @@ class TestDigraphIO:
         with pytest.raises(DigraphFormatError, match="line 2: reserved vertex name 'vertex'"):
             parse_digraph(text)
 
+    @pytest.mark.parametrize("arcs, isolated, bad", [
+        ([("a", "x y")], (), "x y"),  # parse_digraph rejects the line it would write
+        ([("a", "b")], ("c-d", "vertex"), "c-d"),
+        ([("é", "b")], (), "é"),
+        ([], ("",), ""),
+    ])
+    def test_emit_rejects_unwritable_name(self, arcs, isolated, bad):
+        graph = Digraph.from_named_arcs(arcs, isolated)
+        with pytest.raises(ValueError, match=f"illegal vertex name {bad!r}"):
+            emit_digraph(graph)
+
+    def test_emit_rejects_reserved_name(self):
+        graph = Digraph.from_named_arcs([("a", "vertex")])
+        with pytest.raises(ValueError, match="reserved"):
+            emit_digraph(graph)
+
     def test_duplicate_arcs_collapse(self):
         graph = parse_digraph("a b\na b\n")
         assert len(graph.arcs) == 1
@@ -349,3 +366,48 @@ class TestDigraphIO:
         first = decomposition_to_dot(graph, decomposition)
         assert first == decomposition_to_dot(graph, decomposition)
         assert first.startswith("digraph")
+
+    @staticmethod
+    def dot_by_name_search(graph, decomposition):
+        """The plain rendering: each arc looks its endpoints up in the name list."""
+        alpha, _ = decomposition.intervals()
+        lines = ["digraph decomposition {"]
+        for i, bag in enumerate(decomposition.bags, start=1):
+            lines.append(f"  subgraph cluster_{i} {{")
+            lines.append(f'    label="X{i}";')
+            for name in sorted(graph.names[v] for v in bag):
+                lines.append(f'    "b{i}_{name}" [label="{name}"];')
+            lines.append("  }")
+        for u, v in sorted(graph.arc_names()):
+            iu = alpha[graph.names.index(u)]
+            iv = alpha[graph.names.index(v)]
+            lines.append(f'  "b{iu}_{u}" -> "b{iv}_{v}";')
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    def test_decomposition_dot_matches_name_search(self):
+        """Random digraphs with 1-10 vertices and shuffled names, with the
+        decompositions dpw_exact finds for them."""
+        rng = SplitMix64(77)
+        for _ in range(300):
+            n = 1 + rng.below(10)
+            names = [f"{'xyz'[rng.below(3)]}{i}" for i in range(n)]
+            rng.shuffle(names)
+            arcs = frozenset((u, v) for u in range(n) for v in range(n)
+                             if u != v and rng.below(100) < 30)
+            graph = Digraph(tuple(names), arcs)
+            decomposition = dpw_exact(graph).decomposition
+            assert decomposition_to_dot(graph, decomposition) == self.dot_by_name_search(
+                graph, decomposition)
+
+    def test_decomposition_dot_long_path_is_fast(self):
+        import time
+
+        n = 20_000
+        graph = Digraph(tuple(f"v{i}" for i in range(n)),
+                        frozenset((i, i + 1) for i in range(n - 1)))
+        decomposition = DirectedPathDecomposition(tuple(frozenset((i,)) for i in range(n)))
+        start = time.perf_counter()
+        text = decomposition_to_dot(graph, decomposition)
+        assert time.perf_counter() - start < 2.0
+        assert text.count(" -> ") == n - 1
