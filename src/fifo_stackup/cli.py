@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 import time
@@ -16,24 +17,36 @@ from pathlib import Path
 
 from .errors import BudgetError, InstanceFormatError, InternalError, TransformStuckError
 from .instance import Instance, emit_instance, parse_instance, validate
-from .pathwidth import DEFAULT_MAX_VERTICES, dpw_exact, dpw_via_stackup
 from .processing import (
     DEFAULT_CONFIGURATION_BUDGET,
     DEFAULT_MAX_BINS,
     DEFAULT_MAX_PALLETS,
+    DEFAULT_MAX_VERTICES,
     solve_min_places,
-)
-from .seqgraph import (
-    build_sequence_graph,
-    decomposition_to_dot,
-    digraph_to_dot,
-    emit_digraph,
-    parse_digraph,
-    reduce_digraph_to_queues,
-    strip_endpoints,
 )
 from .solutions import PalletSolution, opening_order, replay, transform
 # The oracles, the generators and csv are imported only by the commands that run them.
+
+# The graph functions are loaded on first use (PEP 562), so that solve and
+# transform never compile seqgraph and pathwidth.  They stay attributes of
+# this module, and the graph commands call them through ``_cli``: a wrapper
+# set on the module with setattr is the function that runs.
+_GRAPH_EXPORTS = {
+    "seqgraph": ("build_sequence_graph", "decomposition_to_dot", "digraph_to_dot",
+                 "emit_digraph", "parse_digraph", "reduce_digraph_to_queues", "strip_endpoints"),
+    "pathwidth": ("dpw_exact", "dpw_via_stackup"),
+}
+_GRAPH_HOME = {name: module for module, names in _GRAPH_EXPORTS.items() for name in names}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _GRAPH_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{_GRAPH_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 METHODS = ("dp", "pallet-bf", "bin-bf")
 
@@ -134,30 +147,30 @@ def _cmd_transform(args) -> int:
 
 def _cmd_seqgraph(args) -> int:
     inst = parse_instance(_read(args.instance))
-    graph = build_sequence_graph(inst)
-    print(digraph_to_dot(graph) if args.dot else emit_digraph(graph), end="")
+    graph = _cli.build_sequence_graph(inst)
+    print(_cli.digraph_to_dot(graph) if args.dot else _cli.emit_digraph(graph), end="")
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    graph = parse_digraph(_read(args.digraph))
+    graph = _cli.parse_digraph(_read(args.digraph))
     if args.strip:
-        graph, removals = strip_endpoints(graph)
+        graph, removals = _cli.strip_endpoints(graph)
         for name, kind in removals:
             print(f"stripped {kind} vertex {name}", file=sys.stderr)
-    inst = reduce_digraph_to_queues(graph)
+    inst = _cli.reduce_digraph_to_queues(graph)
     print(emit_instance(inst), end="")
     return 0
 
 
 def _cmd_dpw(args) -> int:
-    graph = parse_digraph(_read(args.digraph))
+    graph = _cli.parse_digraph(_read(args.digraph))
     if args.method == "subset":
-        result = dpw_exact(graph, max_vertices=args.max_vertices)
+        result = _cli.dpw_exact(graph, max_vertices=args.max_vertices)
     else:
-        result = dpw_via_stackup(graph, max_configurations=args.budget)
+        result = _cli.dpw_via_stackup(graph, max_configurations=args.budget)
     if args.dot:
-        print(decomposition_to_dot(graph, result.decomposition), end="")
+        print(_cli.decomposition_to_dot(graph, result.decomposition), end="")
         return 0
     if args.json:
         _print_json({
@@ -177,7 +190,7 @@ def _cmd_gen(args) -> int:
     if args.from_digraph:
         graph = random_admissible_digraph(
             args.vertices, max_degree=args.max_deg, seed=args.seed)
-        inst = reduce_digraph_to_queues(graph)
+        inst = _cli.reduce_digraph_to_queues(graph)
     else:
         lo, sep, hi = args.bins_per_pallet.partition(":")
         spec = GenSpec(
@@ -258,15 +271,7 @@ def _cmd_bench(args) -> int:
     return 3 if internal else 2 if errors else 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
-        prog="fifo-stackup",
-        description="Exact solvers for the FIFO stack-up problem and directed pathwidth.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="decide or minimize the number of stack-up places")
+def _solve_arguments(solve: argparse.ArgumentParser) -> None:
     solve.add_argument("instance")
     mode = solve.add_mutually_exclusive_group(required=True)
     mode.add_argument("-p", "--places", type=int, help="decision mode: can the instance be processed with at most P places?")
@@ -279,36 +284,36 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-bins", type=int, default=DEFAULT_MAX_BINS,
                        help="bin guard for bin-bf")
     solve.add_argument("--json", action="store_true")
-    solve.set_defaults(func=_cmd_solve)
 
-    trans = sub.add_parser("transform", help="turn a pallet order into a bin solution")
+
+def _transform_arguments(trans: argparse.ArgumentParser) -> None:
     trans.add_argument("instance")
     trans.add_argument("--pallets", required=True,
                        help="comma-separated pallet symbols, a complete permutation")
     trans.add_argument("--json", action="store_true")
-    trans.set_defaults(func=_cmd_transform)
 
-    seqg = sub.add_parser("seqgraph", help="emit the sequence graph of an instance")
+
+def _seqgraph_arguments(seqg: argparse.ArgumentParser) -> None:
     seqg.add_argument("instance")
     seqg.add_argument("--dot", action="store_true")
-    seqg.set_defaults(func=_cmd_seqgraph)
 
-    red = sub.add_parser("reduce", help="emit the queue system of a digraph")
+
+def _reduce_arguments(red: argparse.ArgumentParser) -> None:
     red.add_argument("digraph")
     red.add_argument("--strip", action="store_true",
                      help="remove vertices lacking in- or out-arcs first")
-    red.set_defaults(func=_cmd_reduce)
 
-    dpw = sub.add_parser("dpw", help="compute the directed pathwidth of a digraph")
+
+def _dpw_arguments(dpw: argparse.ArgumentParser) -> None:
     dpw.add_argument("digraph")
     dpw.add_argument("--method", choices=("subset", "stackup"), default="subset")
     dpw.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     dpw.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET)
     dpw.add_argument("--dot", action="store_true", help="emit the witness decomposition as DOT")
     dpw.add_argument("--json", action="store_true")
-    dpw.set_defaults(func=_cmd_dpw)
 
-    gen = sub.add_parser("gen", help="generate a random instance deterministically")
+
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--pallets", type=int, default=5)
     gen.add_argument("--queues", type=int, default=2)
     gen.add_argument("--bins-per-pallet", default="2:3", metavar="LO:HI")
@@ -320,22 +325,57 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-deg", type=int, default=3,
                      help="in/out-degree cap for --from-digraph")
     gen.add_argument("--out", help="write to a file instead of stdout")
-    gen.set_defaults(func=_cmd_gen)
 
-    bench = sub.add_parser("bench", help="run methods over a corpus directory of .fsu files")
+
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
     bench.add_argument("corpus")
     bench.add_argument("--methods", default="dp")
     bench.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET)
     bench.add_argument("--max-pallets", type=int, default=DEFAULT_MAX_PALLETS)
     bench.add_argument("--max-bins", type=int, default=DEFAULT_MAX_BINS)
     bench.add_argument("--json", action="store_true")
-    bench.set_defaults(func=_cmd_bench)
 
+
+# Each command's help line, the function that adds its arguments, and the one that runs it.
+COMMANDS = {
+    "solve": ("decide or minimize the number of stack-up places", _solve_arguments, _cmd_solve),
+    "transform": ("turn a pallet order into a bin solution", _transform_arguments,
+                  _cmd_transform),
+    "seqgraph": ("emit the sequence graph of an instance", _seqgraph_arguments, _cmd_seqgraph),
+    "reduce": ("emit the queue system of a digraph", _reduce_arguments, _cmd_reduce),
+    "dpw": ("compute the directed pathwidth of a digraph", _dpw_arguments, _cmd_dpw),
+    "gen": ("generate a random instance deterministically", _gen_arguments, _cmd_gen),
+    "bench": ("run methods over a corpus directory of .fsu files", _bench_arguments,
+              _cmd_bench),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call per command and shared
+    after it.
+
+    Every command is listed with its help line, but only ``command`` gets its
+    arguments, so that a call builds what it parses; with None, all of them do.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fifo-stackup",
+        description="Exact solvers for the FIFO stack-up problem and directed pathwidth.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, run) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if command is None or name == command:
+            add_arguments(subparser)
+            subparser.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # an argv that does not start with a command (--help, nothing, a bad name) gets every command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (BudgetError, TransformStuckError, ValueError, OSError) as exc:

@@ -32,14 +32,8 @@ from itertools import combinations
 from ._record import Record
 from .errors import BudgetError
 from .instance import Instance, PalletIndex, build_pallet_index
-from .pathwidth import (
-    DEFAULT_MAX_VERTICES,
-    DpwResult,
-    _check_vertex_budget,
-    _arc_masks,
-    _ordering_result,
-)
-from .processing import DEFAULT_MAX_BINS, DEFAULT_MAX_PALLETS, grid_size
+from .pathwidth import DpwResult, _arc_masks, _check_vertex_budget, _ordering_result
+from .processing import DEFAULT_MAX_BINS, DEFAULT_MAX_PALLETS, DEFAULT_MAX_VERTICES, grid_size
 from .seqgraph import Digraph, DirectedPathDecomposition
 from .solutions import PalletSolution, _Stepper
 
@@ -235,7 +229,8 @@ class ConfigurationDag:
     is smaller than its vertex's, so the codes in increasing order are a
     topological order, and the walk is ``range(count)``.  Vertex values are
     open-pallet counts, computed incrementally via open_delta from one
-    predecessor per vertex.  Grids above ``MAX_GRID_CONFIGURATIONS`` raise
+    predecessor per vertex, or by ``cut`` when that predecessor has no value
+    yet.  Grids above ``MAX_GRID_CONFIGURATIONS`` raise
     BudgetError.
     """
 
@@ -277,18 +272,21 @@ class ConfigurationDag:
         return preds
 
     def value(self, v: int) -> int:
+        """Open pallets at v: its first predecessor's value plus open_delta
+        when that value is cached, as in a topological walk, else counted
+        afresh by ``cut``, never by recursion down a chain of predecessors."""
         cached = self._values.get(v)
         if cached is not None:
             return cached
-        if v == 0:
-            result = len(cut(self.instance, self.decode(0)))
+        cfg = self.decode(v)
+        j = next((i for i, digit in enumerate(cfg) if digit), None)
+        before = None if j is None else self._values.get(v - self.strides[j])
+        if before is None:
+            result = len(cut(self.instance, cfg))
         else:
-            cfg = self.decode(v)
-            j = next(i for i, digit in enumerate(cfg) if digit)
             previous = list(cfg)
             previous[j] -= 1
-            result = self._values[v - self.strides[j]] + open_delta(
-                self.instance, self.index, tuple(previous), j)
+            result = before + open_delta(self.instance, self.index, tuple(previous), j)
         self._values[v] = result
         return result
 

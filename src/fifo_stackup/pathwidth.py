@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import BudgetError, InternalError
-from .processing import DEFAULT_CONFIGURATION_BUDGET, _minimax_order, solve_min_places
+from .processing import (
+    DEFAULT_CONFIGURATION_BUDGET,
+    DEFAULT_MAX_VERTICES,
+    _minimax_order,
+    solve_min_places,
+)
 from .seqgraph import (
     Digraph,
     DirectedPathDecomposition,
@@ -21,8 +26,6 @@ from .seqgraph import (
     strip_endpoints,
     validate_decomposition,
 )
-
-DEFAULT_MAX_VERTICES = 16
 
 
 class DpwResult(Record):

@@ -25,10 +25,12 @@ from .instance import Instance, build_pallet_index  # noqa: F401
 from .solutions import BinSolution, PalletSolution, transform
 
 DEFAULT_CONFIGURATION_BUDGET = 50_000_000
-# Guards of the brute forces in fifo_stackup.oracles, kept here so the CLI can
-# show them without loading the oracles.
+# Guards of the brute forces in fifo_stackup.oracles and of the subset searches
+# for directed pathwidth, kept here so the CLI can show them without loading
+# the oracles or pathwidth.
 DEFAULT_MAX_PALLETS = 8
 DEFAULT_MAX_BINS = 10
+DEFAULT_MAX_VERTICES = 16
 # Up to this many vertices the search marks sets in a byte table of 2^n
 # entries; above it, where zeroing the table costs more, in a dict.
 _BYTE_TABLE_MAX_VERTICES = 21

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable
 
 from ._record import Record
@@ -116,13 +115,18 @@ def emit_digraph(graph: Digraph) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _dot_escape(name: str) -> str:
+    """A name as the inside of a DOT quoted string."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def digraph_to_dot(graph: Digraph) -> str:
     """Deterministic DOT rendering: vertices and arcs sorted by name."""
     lines = ["digraph G {"]
     for name in sorted(graph.names):
-        lines.append(f'  "{name}";')
+        lines.append(f'  "{_dot_escape(name)}";')
     for u, v in sorted(graph.arc_names()):
-        lines.append(f'  "{u}" -> "{v}";')
+        lines.append(f'  "{_dot_escape(u)}" -> "{_dot_escape(v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -231,6 +235,8 @@ def strip_endpoints(graph: Digraph) -> tuple[Digraph, tuple[tuple[str, str], ...
     one appended.  Degrees are kept as arcs leave, so a run takes
     O((n + |E|) log n).
     """
+    import heapq  # here, so that the other graph commands do not load it
+
     names = graph.names
     successors: list[list[int]] = [[] for _ in names]
     predecessors: list[list[int]] = [[] for _ in names]
@@ -338,9 +344,11 @@ def decomposition_to_dot(graph: Digraph, decomposition: DirectedPathDecompositio
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="X{i}";')
         for name in sorted(graph.names[v] for v in bag):
-            lines.append(f'    "b{i}_{name}" [label="{name}"];')
+            quoted = _dot_escape(name)
+            lines.append(f'    "b{i}_{quoted}" [label="{quoted}"];')
         lines.append("  }")
     for u, v in sorted(graph.arc_names()):
-        lines.append(f'  "b{alpha[index[u]]}_{u}" -> "b{alpha[index[v]]}_{v}";')
+        lines.append(f'  "b{alpha[index[u]]}_{_dot_escape(u)}" -> '
+                     f'"b{alpha[index[v]]}_{_dot_escape(v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ setting under which every loaded module is compiled again on every call, and
 reports the modules it loaded beyond those the interpreter had already.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,12 +16,26 @@ import pytest
 
 import fifo_stackup
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 TWO_QUEUE_TEXT = "seq 1: a a b b\nseq 2: c d e c a d b e\n"
+RING_DIGRAPH_TEXT = "a b\nb c\nc d\nd e\ne a\ne f\nf a\n"
 
 # What the command line must not pull in unless the command runs it.
 HEAVY = ("dataclasses", "inspect", "typing", "csv", "fifo_stackup.oracles",
          "fifo_stackup.generate")
+GRAPH = ("fifo_stackup.seqgraph", "fifo_stackup.pathwidth", "heapq")
+
+
+def load_cli_references():
+    """The names ``perfbench/spans.py`` wraps on ``fifo_stackup.cli``, read
+    from its file, so that nothing under ``perfbench/`` is imported as a
+    package."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [attribute for module_name, attribute, _ in module.CLI_REFERENCES
+            if module_name == "fifo_stackup.cli"]
 
 PUBLIC = {
     "BinSolution", "BudgetError", "DecompositionCheck", "Digraph",
@@ -87,6 +102,87 @@ def test_a_cli_call_loads_only_what_its_command_runs(tmp_path, argv, needs):
                        f"_code = main({argv!r})",
                        "assert _code == 0, _code"])
     assert {name for name in HEAVY if name in loaded} == set(needs)
+
+
+def cli_files(tmp_path):
+    (tmp_path / "ex1.fsu").write_text(TWO_QUEUE_TEXT, encoding="utf-8")
+    (tmp_path / "ring.digraph").write_text(RING_DIGRAPH_TEXT, encoding="utf-8")
+    return {"path": str(tmp_path / "ex1.fsu"), "ring": str(tmp_path / "ring.digraph")}
+
+
+@pytest.mark.parametrize("argv,needs", [
+    (["solve", "--min", "{path}"], ()),
+    (["solve", "-p", "3", "{path}"], ()),
+    (["transform", "{path}", "--pallets", "c,d,e,a,b", "--json"], ()),
+    (["seqgraph", "--dot", "{path}"], ("fifo_stackup.seqgraph",)),
+    (["reduce", "{ring}"], ("fifo_stackup.seqgraph",)),
+    (["reduce", "--strip", "{ring}"], ("fifo_stackup.seqgraph", "heapq")),
+    (["dpw", "{ring}"], ("fifo_stackup.seqgraph", "fifo_stackup.pathwidth")),
+    (["dpw", "--method", "stackup", "{ring}"], GRAPH),
+    (["gen", "--from-digraph", "--seed", "2"], ("fifo_stackup.seqgraph",)),
+], ids=["solve", "decide", "transform", "seqgraph", "reduce", "reduce-strip", "dpw-subset",
+        "dpw-stackup", "gen-from-digraph"])
+def test_graph_modules_load_only_for_graph_commands(tmp_path, argv, needs):
+    """solve and transform never load the graph modules; the graph commands
+    load them on first use and still run."""
+    argv = [arg.format(**cli_files(tmp_path)) for arg in argv]
+    loaded, out = probe(["from fifo_stackup.cli import main",
+                         f"_code = main({argv!r})",
+                         "assert _code == 0, _code"])
+    assert {name for name in GRAPH if name in loaded} == set(needs)
+    assert out
+
+
+CLI_REFERENCE_ARGV = {
+    "parse_instance": ["solve", "--min", "{path}"],
+    "solve_min_places": ["solve", "--min", "{path}"],
+    "replay": ["solve", "--min", "{path}"],
+    "parse_digraph": ["dpw", "{ring}"],
+    "dpw_exact": ["dpw", "{ring}"],
+    "dpw_via_stackup": ["dpw", "--method", "stackup", "{ring}"],
+}
+
+
+@pytest.mark.parametrize("name", load_cli_references())
+def test_a_wrapper_set_on_the_cli_module_runs(tmp_path, name):
+    """The benchmark's tracer replaces each of these names on
+    ``fifo_stackup.cli`` with setattr; main must call the replacement."""
+    argv = [arg.format(**cli_files(tmp_path)) for arg in CLI_REFERENCE_ARGV[name]]
+    _, out = probe([
+        "import fifo_stackup.cli as cli",
+        "_calls = []",
+        f"_real = getattr(cli, {name!r})",
+        "def _counting(*args, **kwargs):",
+        "    _calls.append(1)",
+        "    return _real(*args, **kwargs)",
+        f"setattr(cli, {name!r}, _counting)",
+        f"_code = cli.main({argv!r})",
+        "assert _code == 0, _code",
+        "print('calls', len(_calls))",
+    ])
+    assert out.splitlines()[-1] == "calls 1"
+
+
+def test_one_command_parser_gives_the_same_help():
+    """build_parser(command) lists every command, and that command's help is
+    the one the whole parser gives."""
+    _, out = probe([
+        "import contextlib, io",
+        "from fifo_stackup.cli import COMMANDS, build_parser",
+        "def _help(parser, argv):",
+        "    text = io.StringIO()",
+        "    with contextlib.redirect_stdout(text), contextlib.suppress(SystemExit):",
+        "        parser.parse_args(argv)",
+        "    return text.getvalue()",
+        "for _command in COMMANDS:",
+        "    _one, _whole = build_parser(_command), build_parser()",
+        "    assert _one.format_help() == _whole.format_help(), _command",
+        "    _text = _help(_one, [_command, '--help'])",
+        "    assert _text.startswith('usage: fifo-stackup ' + _command), _text",
+        "    assert _text == _help(_whole, [_command, '--help']), _command",
+        "    print(_command)",
+    ])
+    assert out.split() == ["solve", "transform", "seqgraph", "reduce", "dpw", "gen", "bench"]
 
 
 def test_submodule_attributes_resolve_without_an_import():

@@ -188,6 +188,31 @@ class TestConfigurationDag:
         preds = {dag.decode(u) for u in dag.predecessors(v)}
         assert preds == {(0, 3), (1, 2)}
 
+    def test_value_on_a_fresh_dag(self, two_queue_instance, three_queue_instance):
+        for inst in (two_queue_instance, three_queue_instance):
+            dag = ConfigurationDag(inst)
+            assert dag.value(dag.target) == 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_values_in_reverse_code_order(self, seed):
+        """On a fresh DAG, values asked for from the target down equal those of
+        the topological walk."""
+        inst = crosscheck_instance(seed)
+        walked = ConfigurationDag(inst)
+        expected = [walked.value(v) for v in walked.topological_vertices()]
+        fresh = ConfigurationDag(inst)
+        assert [fresh.value(v) for v in reversed(range(fresh.count))] == expected[::-1]
+
+    def test_value_deep_in_a_long_chain(self):
+        """One queue of 1 600 bins is a chain of 1 601 configurations: a value
+        asked for first at its far end takes no recursion."""
+        inst = generate_instance(GenSpec(pallets=800, queues=1, min_bins=2, max_bins=2, seed=3))
+        dag = ConfigurationDag(inst)
+        assert dag.count == 1601
+        middle = dag.count // 2
+        assert dag.value(middle) == len(cut(inst, dag.decode(middle)))
+        assert dag.value(dag.target) == 0
+
     def test_values_match_direct_cut(self, three_queue_instance):
         dag = ConfigurationDag(three_queue_instance)
         for v in dag.topological_vertices():

@@ -367,6 +367,26 @@ class TestDigraphIO:
         assert first == decomposition_to_dot(graph, decomposition)
         assert first.startswith("digraph")
 
+    @pytest.mark.parametrize("name, quoted", [('a"b', 'a\\"b'), ("a\\b", "a\\\\b")])
+    def test_dot_escapes_names(self, name, quoted):
+        """A quote or backslash in a name is escaped in every DOT id and label."""
+        graph = Digraph.from_named_arcs([(name, "c")])
+        assert digraph_to_dot(graph) == (
+            f'digraph G {{\n  "{quoted}";\n  "c";\n  "{quoted}" -> "c";\n}}\n')
+        decomposition = DirectedPathDecomposition((frozenset({0}), frozenset({1})))
+        assert decomposition_to_dot(graph, decomposition) == (
+            "digraph decomposition {\n"
+            "  subgraph cluster_1 {\n"
+            '    label="X1";\n'
+            f'    "b1_{quoted}" [label="{quoted}"];\n'
+            "  }\n"
+            "  subgraph cluster_2 {\n"
+            '    label="X2";\n'
+            '    "b2_c" [label="c"];\n'
+            "  }\n"
+            f'  "b1_{quoted}" -> "b2_c";\n'
+            "}\n")
+
     @staticmethod
     def dot_by_name_search(graph, decomposition):
         """The plain rendering: each arc looks its endpoints up in the name list."""
