@@ -9,41 +9,33 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import sys
 import time
 from pathlib import Path
 
-from .errors import BudgetError, InstanceFormatError, InternalError, TransformStuckError
-from .instance import Instance, emit_instance, parse_instance, validate
-from .processing import (
-    DEFAULT_CONFIGURATION_BUDGET,
-    DEFAULT_MAX_BINS,
-    DEFAULT_MAX_PALLETS,
-    DEFAULT_MAX_VERTICES,
-    solve_min_places,
-)
-from .solutions import PalletSolution, opening_order, replay, transform
-# The oracles, the generators and csv are imported only by the commands that run them.
+from . import (BudgetError, Instance, InstanceFormatError, InternalError, PalletSolution,
+               TransformStuckError, emit_instance, opening_order, parse_instance, replay,
+               solve_min_places, transform, validate)
+# Option defaults, not public names.  The oracles, the generators and csv are
+# imported only by the commands that run them.
+from .processing import (DEFAULT_CONFIGURATION_BUDGET, DEFAULT_MAX_BINS, DEFAULT_MAX_PALLETS,
+                         DEFAULT_MAX_VERTICES)
 
-# The graph functions are loaded on first use (PEP 562), so that solve and
-# transform never compile seqgraph and pathwidth.  They stay attributes of
-# this module, and the graph commands call them through ``_cli``: a wrapper
-# set on the module with setattr is the function that runs.
-_GRAPH_EXPORTS = {
-    "seqgraph": ("build_sequence_graph", "decomposition_to_dot", "digraph_to_dot",
-                 "emit_digraph", "parse_digraph", "reduce_digraph_to_queues", "strip_endpoints"),
-    "pathwidth": ("dpw_exact", "dpw_via_stackup"),
-}
-_GRAPH_HOME = {name: module for module, names in _GRAPH_EXPORTS.items() for name in names}
+# The graph functions are read from the package on first use (PEP 562), so
+# that solve and transform never load seqgraph and pathwidth.  They stay
+# attributes of this module, and the graph commands call them through
+# ``_cli``: a wrapper set on the module with setattr is the function that runs.
+_GRAPH_NAMES = ("build_sequence_graph", "decomposition_to_dot", "digraph_to_dot",
+                "emit_digraph", "parse_digraph", "reduce_digraph_to_queues",
+                "strip_endpoints", "dpw_exact", "dpw_via_stackup")
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _GRAPH_HOME:
+    if name not in _GRAPH_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__package__}.{_GRAPH_HOME[name]}"), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 
@@ -185,7 +177,7 @@ def _cmd_dpw(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .generate import GenSpec, generate_instance, random_admissible_digraph
+    from . import GenSpec, generate_instance, random_admissible_digraph
 
     if args.from_digraph:
         graph = random_admissible_digraph(
@@ -309,8 +301,9 @@ def _dpw_arguments(dpw: argparse.ArgumentParser) -> None:
     dpw.add_argument("--method", choices=("subset", "stackup"), default="subset")
     dpw.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     dpw.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET)
-    dpw.add_argument("--dot", action="store_true", help="emit the witness decomposition as DOT")
-    dpw.add_argument("--json", action="store_true")
+    output = dpw.add_mutually_exclusive_group()
+    output.add_argument("--dot", action="store_true", help="emit the witness decomposition as DOT")
+    output.add_argument("--json", action="store_true")
 
 
 def _gen_arguments(gen: argparse.ArgumentParser) -> None:
@@ -362,11 +355,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="fifo-stackup",
         description="Exact solvers for the FIFO stack-up problem and directed pathwidth.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments, run) in COMMANDS.items():
+    for name, (help_line, add_arguments, _) in COMMANDS.items():
         subparser = sub.add_parser(name, help=help_line)
         if command is None or name == command:
             add_arguments(subparser)
-            subparser.set_defaults(func=run)
     return parser
 
 
@@ -377,7 +369,7 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][2](args)
     except (BudgetError, TransformStuckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

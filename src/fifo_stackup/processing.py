@@ -26,8 +26,8 @@ from .solutions import BinSolution, PalletSolution, transform
 
 DEFAULT_CONFIGURATION_BUDGET = 50_000_000
 # Guards of the brute forces in fifo_stackup.oracles and of the subset searches
-# for directed pathwidth, kept here so the CLI can show them without loading
-# the oracles or pathwidth.
+# for directed pathwidth, kept here so the CLI can pass them as option defaults
+# without loading the oracles or pathwidth.
 DEFAULT_MAX_PALLETS = 8
 DEFAULT_MAX_BINS = 10
 DEFAULT_MAX_VERTICES = 16
@@ -56,12 +56,14 @@ def solve_min_places(
     of t are those with a bin before a t-bin in some queue, and its
     out-neighbours those with a bin after one.  A one-bin pallet never opens,
     and taking it from a front is forced like draining an open pallet, so the
-    one-bin pallets are placed from the start.  One pass over each queue
-    builds both neighbour masks and its pallets in first-occurrence order,
-    from which the search keeps the front pallets.  ``transform`` turns the
-    order found, after the one-bin pallets, into the bin solution, and the
-    pallet solution is its pallets by first removal.  The budget bounds the
-    grid product, as in ConfigurationDag, before any search.
+    one-bin pallets are placed from the start.  A forward pass over each
+    queue builds the in-masks and its pallets in first-occurrence order, from
+    which the search keeps the front pallets; a backward pass builds the
+    out-masks.  ``transform`` turns the order found, after the one-bin
+    pallets, into the bin solution, and the pallet solution is its pallets by
+    first removal.  The budget bounds the grid product before any search;
+    the grid DP of ``ConfigurationDag`` has its own cap,
+    ``oracles.MAX_GRID_CONFIGURATIONS``.
     """
     grid_size(inst, max_configurations)
     singles = sum(1 << t for t, count in enumerate(inst.bin_counts()) if count == 1)

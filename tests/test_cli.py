@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from fifo_stackup import SplitMix64, dpw_exact, parse_digraph, parse_instance
+from fifo_stackup import (SplitMix64, decomposition_to_dot, dpw_exact, parse_digraph,
+                          parse_instance)
 from fifo_stackup.cli import main
 
 TWO_QUEUE_TEXT = "seq 1: a a b b\nseq 2: c d e c a d b e\n"
@@ -222,8 +223,23 @@ class TestGraphCommands:
         assert main(["dpw", "--json", ring_digraph_path]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["width"] == 1
+        graph = parse_digraph(RING_DIGRAPH_TEXT)
         assert main(["dpw", "--dot", ring_digraph_path]) == 0
-        assert capsys.readouterr().out.startswith("digraph")
+        assert capsys.readouterr().out == decomposition_to_dot(
+            graph, dpw_exact(graph).decomposition)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--dot", "--json"], "argument --json: not allowed with argument --dot"),
+        (["--json", "--dot"], "argument --dot: not allowed with argument --json"),
+    ])
+    def test_dpw_dot_and_json_exclude_each_other(self, ring_digraph_path, flags, message,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dpw", *flags, ring_digraph_path])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
 
 
 class TestGen:

@@ -15,7 +15,7 @@ from fifo_stackup import (
     validate_decomposition,
 )
 from fifo_stackup.oracles import dpw_brute_force, dpw_table, search_decomposition_by_bags
-from fifo_stackup.processing import DEFAULT_CONFIGURATION_BUDGET
+from fifo_stackup.processing import _BYTE_TABLE_MAX_VERTICES, DEFAULT_CONFIGURATION_BUDGET
 
 from conftest import sym_clique, sym_cycle, sym_path
 
@@ -108,6 +108,22 @@ class TestLevelSearch:
     @pytest.mark.parametrize("graph", STACKUP_CORPUS)
     def test_stackup_route_agrees(self, graph):
         assert dpw_exact(graph).width == dpw_via_stackup(graph).width
+
+    @pytest.mark.parametrize("n,seed,width", [
+        (22, 0, 3), (22, 2, 3), (24, 1, 3), (26, 0, 3), (26, 2, 4)])
+    def test_dict_link_table(self, n, seed, width):
+        """Above the byte-table size the unrestricted search marks its sets in
+        a dict.  Both routes run the same engine, so this checks the two uses
+        of it against each other, not against an independent oracle:
+        ``dpw_table`` would enumerate 4·10^6 subsets at 22 vertices."""
+        graph = random_admissible_digraph(n, seed=seed)
+        assert graph.vertex_count > _BYTE_TABLE_MAX_VERTICES
+        exact = dpw_exact(graph, max_vertices=n)
+        stackup = dpw_via_stackup(graph, max_configurations=10**40)
+        assert exact.width == stackup.width == width
+        for result in (exact, stackup):
+            check = validate_decomposition(graph, result.decomposition)
+            assert check.ok and check.width == width
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_sequence_graphs(self, seed):
