@@ -184,12 +184,12 @@ def _cmd_gen(args) -> int:
             args.vertices, max_degree=args.max_deg, seed=args.seed)
         inst = _cli.reduce_digraph_to_queues(graph)
     else:
-        lo, sep, hi = args.bins_per_pallet.partition(":")
+        min_bins, max_bins = args.bins_per_pallet
         spec = GenSpec(
             pallets=args.pallets,
             queues=args.queues,
-            min_bins=int(lo),
-            max_bins=int(hi) if sep else int(lo),
+            min_bins=min_bins,
+            max_bins=max_bins,
             seed=args.seed,
         )
         inst = generate_instance(spec)
@@ -202,6 +202,15 @@ def _cmd_gen(args) -> int:
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
+
+
+def _bin_range(text: str) -> tuple[int, int]:
+    """The ``--bins-per-pallet`` value, ``LO`` or ``LO:HI``."""
+    lo, sep, hi = text.partition(":")
+    try:
+        return int(lo), int(hi) if sep else int(lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO or LO:HI, got {text!r}") from None
 
 
 def _cmd_bench(args) -> int:
@@ -309,7 +318,7 @@ def _dpw_arguments(dpw: argparse.ArgumentParser) -> None:
 def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--pallets", type=int, default=5)
     gen.add_argument("--queues", type=int, default=2)
-    gen.add_argument("--bins-per-pallet", default="2:3", metavar="LO:HI")
+    gen.add_argument("--bins-per-pallet", type=_bin_range, default="2:3", metavar="LO:HI")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--from-digraph", action="store_true",
                      help="generate the queue system of a random admissible digraph")

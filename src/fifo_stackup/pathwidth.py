@@ -18,7 +18,9 @@ from .processing import (
     _minimax_order,
     solve_min_places,
 )
-from .seqgraph import (
+# processing_to_decomposition stays a module attribute: perfbench/spans.py
+# wraps fifo_stackup.pathwidth.processing_to_decomposition in traced runs.
+from .seqgraph import (  # noqa: F401
     Digraph,
     DirectedPathDecomposition,
     processing_to_decomposition,
@@ -26,6 +28,7 @@ from .seqgraph import (
     strip_endpoints,
     validate_decomposition,
 )
+from .solutions import open_set_trace
 
 
 class DpwResult(Record):
@@ -112,8 +115,9 @@ def dpw_via_stackup(
     sinks at the back, in reverse removal order), which leaves the width
     unchanged and an admissible graph as it is.  The rest is reduced to its
     queue system, solved for the minimum number of stack-up places, and the
-    decomposition is read off the witness processing; the width is the place
-    count minus one.
+    bags are the open-pallet sets along the witness processing; the width is
+    the place count minus one.  The decomposition is certified once, against
+    the input graph.
     """
     core, removals = strip_endpoints(graph)
     lookup = {name: i for i, name in enumerate(graph.names)}
@@ -125,13 +129,10 @@ def dpw_via_stackup(
         inst = reduce_digraph_to_queues(core)
         _, bin_solution, _ = solve_min_places(inst, max_configurations=max_configurations)
         try:
-            core_decomposition = processing_to_decomposition(inst, bin_solution)
+            trace = open_set_trace(inst, bin_solution)
         except ValueError as exc:
             raise InternalError(f"stack-up witness does not read as a decomposition: {exc}") from exc
-        bags = [
-            frozenset(lookup[inst.symbols[t]] for t in bag)
-            for bag in core_decomposition.bags
-        ]
+        bags = [frozenset(lookup[inst.symbols[t]] for t in bag) for bag in trace]
     decomposition = DirectedPathDecomposition(tuple(front + bags + back))
     width = decomposition.width
     _certify(graph, decomposition, width)

@@ -277,6 +277,25 @@ class TestGen:
         captured = capsys.readouterr()
         assert "only one bin" in captured.err
 
+    @pytest.mark.parametrize("value", ["x", "1:", ":3", "2:y", "2.5"])
+    def test_bad_bins_per_pallet_names_the_option(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--bins-per-pallet", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --bins-per-pallet: expected LO or LO:HI, got {value!r}\n")
+
+    def test_bins_per_pallet_lo_alone_is_lo_to_lo(self, capsys):
+        outputs = []
+        for value in ("3", "3:3"):
+            assert main(["gen", "--pallets", "4", "--queues", "2",
+                         "--bins-per-pallet", value, "--seed", "6"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert set(parse_instance(outputs[0]).bin_counts()) == {3}
+
     def test_single_queue_oracle_run(self, capsys):
         from fifo_stackup.oracles import brute_force_bin_orders
 

@@ -15,7 +15,12 @@ from fifo_stackup import (
     validate_decomposition,
 )
 from fifo_stackup.oracles import dpw_brute_force, dpw_table, search_decomposition_by_bags
-from fifo_stackup.processing import _BYTE_TABLE_MAX_VERTICES, DEFAULT_CONFIGURATION_BUDGET
+from fifo_stackup.pathwidth import _arc_masks
+from fifo_stackup.processing import (
+    _BYTE_TABLE_MAX_VERTICES,
+    DEFAULT_CONFIGURATION_BUDGET,
+    _start_level,
+)
 
 from conftest import sym_clique, sym_cycle, sym_path
 
@@ -137,6 +142,35 @@ class TestLevelSearch:
         assert result.width == dpw_table(graph).width == solve_min_places(inst)[0] - 1
         check = validate_decomposition(graph, result.decomposition)
         assert check.ok and check.width == result.width
+
+
+class TestStartLevel:
+    """The level the search starts at on dense graphs is a lower bound on the
+    width, checked against the subset table at every density."""
+
+    @staticmethod
+    def bound(graph):
+        in_mask, out_mask = _arc_masks(graph)
+        return _start_level(in_mask, out_mask, (1 << graph.vertex_count) - 1)
+
+    @pytest.mark.parametrize("percent", [5, 20, 35, 50, 65, 80, 95, 100])
+    def test_never_above_the_width(self, percent):
+        rng = SplitMix64(percent * 131 + 17)
+        for n in range(2, 12):
+            for _ in range(6):
+                graph = random_digraph(rng, n, percent)
+                assert self.bound(graph) <= dpw_table(graph).width
+
+    @pytest.mark.parametrize("graph,width", [
+        pytest.param(Digraph.from_named_arcs([("a", "b")]), 0, id="arc"),
+        pytest.param(sym_path(4), 1, id="two-cycles"),
+    ])
+    def test_pair_count_drops_both_vertices(self, graph, width):
+        """For the last vertex v of H and the one w placed before it, the
+        boundary just before w lies in H - v - w: out(w) may hold v (the
+        arc, placed a then b), and out(v) may hold w (a two-cycle)."""
+        assert dpw_table(graph).width == width
+        assert self.bound(graph) == width
 
 
 class TestCharacterizationAgainstDefinition:

@@ -11,9 +11,11 @@ from fifo_stackup import (
     dpw_exact,
     generate_instance,
     opening_order,
+    random_admissible_digraph,
     replay,
     solve_min_places,
 )
+from fifo_stackup import processing
 from fifo_stackup.instance import build_pallet_index
 from fifo_stackup.oracles import (
     MAX_GRID_CONFIGURATIONS,
@@ -404,3 +406,71 @@ class TestPrunePriority:
             return value
 
         assert best_from((0,) * inst.k) == solve_min_places(inst)[0]
+
+
+class TestStartLevel:
+    """On dense graphs the search starts at a lower bound on the peak,
+    ``processing._start_level``; a bound that is too high would make the
+    answer wrong, so it is checked against the grid DP."""
+
+    @staticmethod
+    def record_bounds(monkeypatch):
+        bounds = []
+        real = processing._start_level
+
+        def recording(*args):
+            bounds.append(real(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(processing, "_start_level", recording)
+        return bounds
+
+    def test_never_above_the_grid_dp(self, monkeypatch):
+        bounds = self.record_bounds(monkeypatch)
+        with_single_bins = 0
+        for seed in range(240):
+            inst = crosscheck_instance(seed)
+            del bounds[:]
+            places, bin_solution, _ = solve_min_places(inst)
+            optimum = opt_bottleneck(ConfigurationDag(inst)).value
+            assert places == optimum
+            assert replay(inst, bin_solution).max_open == optimum
+            assert all(bound <= optimum - 1 for bound in bounds)
+            with_single_bins += bool(bounds) and 1 in inst.bin_counts()
+        assert with_single_bins >= 80
+
+    def test_a_bound_one_too_high_is_caught(self, monkeypatch):
+        """Where the bound meets the optimum, one more makes the solver
+        disagree with the grid DP or fail its replay."""
+        bounds = self.record_bounds(monkeypatch)
+        cases = []
+        for seed in range(60):
+            inst = crosscheck_instance(seed)
+            del bounds[:]
+            places = solve_min_places(inst)[0]
+            if bounds == [places - 1]:
+                cases.append((inst, opt_bottleneck(ConfigurationDag(inst)).value))
+        assert len(cases) >= 40
+        real = processing._start_level
+        monkeypatch.setattr(processing, "_start_level", lambda *args: real(*args) + 1)
+        for inst, optimum in cases:
+            places, bin_solution, _ = solve_min_places(inst)
+            report = replay(inst, bin_solution)
+            assert places != optimum or not report.valid or report.max_open != places
+
+    def test_runs_on_dense_graphs_only(self, monkeypatch):
+        """At least n(n - 1)/3 arcs on n vertices: the sequence graph of a
+        stack-up instance is dense, a random admissible digraph sparse."""
+        bounds = self.record_bounds(monkeypatch)
+        inst = generate_instance(GenSpec(pallets=14, queues=4, seed=1))
+        dense = build_sequence_graph(inst)
+        sparse = random_admissible_digraph(14, seed=1)
+        for graph, runs in ((dense, True), (sparse, False)):
+            n = graph.vertex_count
+            assert (3 * len(graph.arcs) >= n * (n - 1)) == runs
+            del bounds[:]
+            dpw_exact(graph)
+            assert len(bounds) == runs
+        del bounds[:]
+        solve_min_places(inst)
+        assert len(bounds) == 1
