@@ -10,6 +10,7 @@ bag-sequence search, live in ``fifo_stackup.oracles``.
 
 from __future__ import annotations
 
+from . import seqgraph
 from ._record import Record
 from .errors import BudgetError, InternalError
 from .processing import (
@@ -18,17 +19,16 @@ from .processing import (
     _minimax_order,
     solve_min_places,
 )
-# processing_to_decomposition stays a module attribute: perfbench/spans.py
-# wraps fifo_stackup.pathwidth.processing_to_decomposition in traced runs.
-from .seqgraph import (  # noqa: F401
+from .seqgraph import (
     Digraph,
     DirectedPathDecomposition,
-    processing_to_decomposition,
     reduce_digraph_to_queues,
     strip_endpoints,
     validate_decomposition,
 )
-from .solutions import open_set_trace
+# Not called here: perfbench/spans.py still wraps this module's reference in
+# traced runs, so it stays until that hook moves (ROADMAP item 5).
+from .seqgraph import processing_to_decomposition  # noqa: F401
 
 
 class DpwResult(Record):
@@ -129,7 +129,8 @@ def dpw_via_stackup(
         inst = reduce_digraph_to_queues(core)
         _, bin_solution, _ = solve_min_places(inst, max_configurations=max_configurations)
         try:
-            trace = open_set_trace(inst, bin_solution)
+            # seqgraph's reference, the one perfbench/spans.py traces
+            trace = seqgraph.open_set_trace(inst, bin_solution)
         except ValueError as exc:
             raise InternalError(f"stack-up witness does not read as a decomposition: {exc}") from exc
         bags = [frozenset(lookup[inst.symbols[t]] for t in bag) for bag in trace]

@@ -8,10 +8,9 @@ drains the fronts of open pallets.  The pallets open at S are the boundary
 b(S) of S in the sequence graph, so the search is ``_minimax_order``, the
 one ``pathwidth.dpw_exact`` runs, restricted to front pallets: the caller
 hands it the pallets of each queue in first-occurrence order, and the
-engine tells a front by the pallets ahead of it in its queue.  On dense
-graphs, sequence graphs among them, the search starts at a proven lower
-bound on the peak, the degeneracy and two-vertex bounds of the out- and the
-in-neighbours; see ``_minimax_order``.
+engine tells a front by the pallets ahead of it in its queue.  The search
+starts at a proven lower bound on the peak, the degeneracy and two-vertex
+bounds of the out-neighbours; see ``_minimax_order``.
 
 The oracle it is checked against, the bottleneck dynamic program over the
 whole configuration grid, ``opt_bottleneck(ConfigurationDag(inst))``, lives
@@ -122,9 +121,9 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     h(S) of an unplaced vertex: the last vertex v of any completion of S is
     unplaced, and the prefix before it has boundary out(v).  h only grows with
     S.  Levels are costs, visited in increasing order from a start level
-    that no order can beat: h(start), or the bound below.  Sets whose cost is
-    at most the level go on a stack, and costlier ones wait in a bucket per
-    cost (Dial's buckets, not a heap).  A successor already seen is skipped
+    that no order can beat, the bound below.  Sets whose cost is at most
+    the level go on a stack, and costlier ones wait in a bucket per cost
+    (Dial's buckets, not a heap).  A successor already seen is skipped
     before its boundary is computed.  One table, holding 1 + the vertex
     placed last, is both the seen mark and the witness link.
 
@@ -147,24 +146,15 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     w, so the peak is at least |(out(v) | out(w)) & (H - v - w)|; v must be
     dropped too, because out(w) may hold v.  So the peak is at least the
     least, over v in H, of max(d(v), the least such pair count over w), which
-    is at least the least d(v) (the degeneracy bound).  The same holds with
-    in-neighbours.  The least peak is the directed pathwidth of the digraph on
-    the unplaced vertices (the ordering characterization, checked in the
-    tests against the bag search), and reversing every arc keeps the width:
-    reverse the bags.  The front restriction can only raise the least peak,
-    so the bound holds for stack-up too.  ``_start_level`` takes the bound
-    along a peel chain: H starts as every unplaced vertex, and the vertices
-    with at most the level's neighbours in H leave it after each bound, until
-    H has fewer than level + 2 vertices and cannot raise the level.  A search
-    that starts at a bound still returns the least peak, and skips the levels
-    where it would only prove that no order is better.
-
-    The bound costs a scan over pairs of vertices.  It runs only where the
-    unplaced vertices are dense, with at least n(n - 1)/3 arcs among n, as
-    sequence graphs are (arc density 0.39-0.88 on seeded stack-up instances
-    of 12-16 pallets), and not on sparse digraphs such as the admissible
-    ones of 10-16 vertices (0.14-0.27), where it meets the optimum too seldom
-    to pay.  Elsewhere the search starts at h(start).
+    is at least the least d(v) (the degeneracy bound).  Both arguments hold
+    for every order, so also under the front restriction.  ``_start_level``
+    takes the bound along a peel chain: H starts as every unplaced vertex,
+    whose least d(v) is h(start) because no arc enters ``start`` from
+    outside, and the vertices with at most the level's out-neighbours in H
+    leave it after each bound, until H has fewer than level + 2 vertices and
+    cannot raise the level.  A search that starts at a bound still returns
+    the least peak, and skips the levels where it would only prove that no
+    order is better.
     """
     n = len(in_mask)
     full = (1 << n) - 1
@@ -190,12 +180,7 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     # 1 + the vertex placed last; 0 while unseen
     last = bytearray(1 << n) if n <= _BYTE_TABLE_MAX_VERTICES else _Links()
     buckets: list[list[tuple]] = [[] for _ in range(n + 1)]
-    unplaced = full ^ start
-    count = unplaced.bit_count()
-    if 3 * sum(degree for degree, bit in by_degree if unplaced & bit) >= count * (count - 1):
-        level = _start_level(in_mask, out_mask, unplaced)
-    else:
-        level = next(degree for degree, bit in by_degree if unplaced & bit)
+    level = _start_level(out_mask, full ^ start)
     # (S, b(S), the parent's allowed mask, the bit placed last)
     stack = [(start, 0, allowed, 0)]
     while True:
@@ -270,48 +255,46 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
         stack = buckets[level]
 
 
-def _start_level(in_mask, out_mask, unplaced):
+def _start_level(out_mask, unplaced):
     """The level ``_minimax_order`` starts at: the two-vertex bound of its
-    docstring over the sets H of a peel chain from ``unplaced``, first with
-    out-neighbours and then with in-neighbours."""
+    docstring over the sets H of a peel chain from ``unplaced``."""
     level = 0
-    for masks in (out_mask, in_mask):
-        group = unplaced
-        while group.bit_count() >= level + 2:
-            # (degree in H, bit, neighbours in H), least degree first, so that
-            # the w that fails a pair is met early
-            rows = []
-            rest = group
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                near = masks[bit.bit_length() - 1] & group
-                rows.append((near.bit_count(), bit, near))
-            rows.sort()
-            # the least over v of max(d(v), the least pair count of v and a
-            # w), or at most the level when that is no gain
-            best = len(rows)
-            for degree, v, near in rows:
-                if degree >= best:
-                    break
-                floor = degree if degree > level else level
-                low = best
-                for _, w, other in rows:
-                    if w != v:
-                        size = ((near | other) & ~(v | w)).bit_count()
-                        if size < low:
-                            low = size
-                            if low <= floor:
-                                break
-                best = low if low > degree else degree
-                if best <= level:
-                    break
-            if best > level:
-                level = best
-            for degree, bit, _ in rows:
-                if degree > level:
-                    break
-                group ^= bit
+    group = unplaced
+    while group.bit_count() >= level + 2:
+        # (degree in H, bit, out-neighbours in H), least degree first, so that
+        # the w that fails a pair is met early
+        rows = []
+        rest = group
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            near = out_mask[bit.bit_length() - 1] & group
+            rows.append((near.bit_count(), bit, near))
+        rows.sort()
+        # the least over v of max(d(v), the least pair count of v and a w),
+        # or at most the level when that is no gain
+        best = len(rows)
+        for degree, v, near in rows:
+            if degree >= best:
+                break
+            floor = degree if degree > level else level
+            low = best
+            for _, w, other in rows:
+                if w != v:
+                    size = ((near | other) & ~(v | w)).bit_count()
+                    if size < low:
+                        low = size
+                        if low <= floor:
+                            break
+            best = low if low > degree else degree
+            if best <= level:
+                break
+        if best > level:
+            level = best
+        for degree, bit, _ in rows:
+            if degree > level:
+                break
+            group ^= bit
     return level
 
 

@@ -145,13 +145,13 @@ class TestLevelSearch:
 
 
 class TestStartLevel:
-    """The level the search starts at on dense graphs is a lower bound on the
-    width, checked against the subset table at every density."""
+    """The level the search starts at is a lower bound on the width, checked
+    against the subset table at every density."""
 
     @staticmethod
     def bound(graph):
-        in_mask, out_mask = _arc_masks(graph)
-        return _start_level(in_mask, out_mask, (1 << graph.vertex_count) - 1)
+        _, out_mask = _arc_masks(graph)
+        return _start_level(out_mask, (1 << graph.vertex_count) - 1)
 
     @pytest.mark.parametrize("percent", [5, 20, 35, 50, 65, 80, 95, 100])
     def test_never_above_the_width(self, percent):

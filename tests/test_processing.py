@@ -11,7 +11,6 @@ from fifo_stackup import (
     dpw_exact,
     generate_instance,
     opening_order,
-    random_admissible_digraph,
     replay,
     solve_min_places,
 )
@@ -409,7 +408,7 @@ class TestPrunePriority:
 
 
 class TestStartLevel:
-    """On dense graphs the search starts at a lower bound on the peak,
+    """The search starts at a lower bound on the peak, given by
     ``processing._start_level``; a bound that is too high would make the
     answer wrong, so it is checked against the grid DP."""
 
@@ -457,20 +456,3 @@ class TestStartLevel:
             places, bin_solution, _ = solve_min_places(inst)
             report = replay(inst, bin_solution)
             assert places != optimum or not report.valid or report.max_open != places
-
-    def test_runs_on_dense_graphs_only(self, monkeypatch):
-        """At least n(n - 1)/3 arcs on n vertices: the sequence graph of a
-        stack-up instance is dense, a random admissible digraph sparse."""
-        bounds = self.record_bounds(monkeypatch)
-        inst = generate_instance(GenSpec(pallets=14, queues=4, seed=1))
-        dense = build_sequence_graph(inst)
-        sparse = random_admissible_digraph(14, seed=1)
-        for graph, runs in ((dense, True), (sparse, False)):
-            n = graph.vertex_count
-            assert (3 * len(graph.arcs) >= n * (n - 1)) == runs
-            del bounds[:]
-            dpw_exact(graph)
-            assert len(bounds) == runs
-        del bounds[:]
-        solve_min_places(inst)
-        assert len(bounds) == 1
