@@ -278,13 +278,18 @@ def _solve_arguments(solve: argparse.ArgumentParser) -> None:
     mode.add_argument("-p", "--places", type=int, help="decision mode: can the instance be processed with at most P places?")
     mode.add_argument("--min", action="store_true", help="optimization mode: report the minimum number of places")
     solve.add_argument("--method", choices=METHODS, default="dp")
-    solve.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET,
-                       help="configuration-count guard for the dp method")
-    solve.add_argument("--max-pallets", type=int, default=DEFAULT_MAX_PALLETS,
-                       help="pallet guard for pallet-bf")
-    solve.add_argument("--max-bins", type=int, default=DEFAULT_MAX_BINS,
-                       help="bin guard for bin-bf")
+    _guard_arguments(solve)
     solve.add_argument("--json", action="store_true")
+
+
+def _guard_arguments(parser: argparse.ArgumentParser) -> None:
+    """The guards of the solve methods, shared by ``solve`` and ``bench``."""
+    parser.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET,
+                        help="configuration-count guard for the dp method")
+    parser.add_argument("--max-pallets", type=int, default=DEFAULT_MAX_PALLETS,
+                        help="pallet guard for pallet-bf")
+    parser.add_argument("--max-bins", type=int, default=DEFAULT_MAX_BINS,
+                        help="bin guard for bin-bf")
 
 
 def _transform_arguments(trans: argparse.ArgumentParser) -> None:
@@ -308,8 +313,11 @@ def _reduce_arguments(red: argparse.ArgumentParser) -> None:
 def _dpw_arguments(dpw: argparse.ArgumentParser) -> None:
     dpw.add_argument("digraph")
     dpw.add_argument("--method", choices=("subset", "stackup"), default="subset")
-    dpw.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    dpw.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET)
+    dpw.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+                     help="vertex guard for the subset method")
+    dpw.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET,
+                     help="configuration-count guard for the stackup method, which "
+                          "counts 3^(arcs of the stripped digraph) configurations")
     output = dpw.add_mutually_exclusive_group()
     output.add_argument("--dot", action="store_true", help="emit the witness decomposition as DOT")
     output.add_argument("--json", action="store_true")
@@ -332,9 +340,7 @@ def _gen_arguments(gen: argparse.ArgumentParser) -> None:
 def _bench_arguments(bench: argparse.ArgumentParser) -> None:
     bench.add_argument("corpus")
     bench.add_argument("--methods", default="dp")
-    bench.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET)
-    bench.add_argument("--max-pallets", type=int, default=DEFAULT_MAX_PALLETS)
-    bench.add_argument("--max-bins", type=int, default=DEFAULT_MAX_BINS)
+    _guard_arguments(bench)
     bench.add_argument("--json", action="store_true")
 
 

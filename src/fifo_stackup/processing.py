@@ -116,16 +116,16 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
 
     A minimax search over the sets S, with b(S) carried as a bitmask.
     Placing v drops from b(S) the vertices whose one unplaced in-neighbour is
-    v, and adds v if it has an unplaced in-neighbour.  The cost of S is the
-    peak |b| along the path that reached it, raised to the least out-degree
-    h(S) of an unplaced vertex: the last vertex v of any completion of S is
-    unplaced, and the prefix before it has boundary out(v).  h only grows with
-    S.  Levels are costs, visited in increasing order from a start level
-    that no order can beat, the bound below.  Sets whose cost is at most
-    the level go on a stack, and costlier ones wait in a bucket per cost
-    (Dial's buckets, not a heap).  A successor already seen is skipped
-    before its boundary is computed.  One table, holding 1 + the vertex
-    placed last, is both the seen mark and the witness link.
+    v, and adds v if it has an unplaced in-neighbour.  The cost of S is
+    |b(S)|.  Levels are costs, visited in increasing order from a start level
+    that no order can beat, the bound below.  Sets whose cost is at most the
+    level go on a stack, and costlier ones wait in a bucket per cost (Dial's
+    buckets, not a heap).  A successor already seen is skipped before its
+    boundary is computed.  One table, holding 1 + the vertex placed last, is
+    both the seen mark and the witness link.  The search is exact because a
+    set's cost depends on the set alone: every path to S has a peak of at
+    least |b(S)|, so skipping S when it is seen again loses no cheaper path
+    to it.
 
     Free moves: when placing v does not grow the boundary, |b(S + v)| <=
     |b(S)|, v is the only successor expanded from S.  This is sound because b
@@ -134,9 +134,8 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     first term can only fall and whose set can only grow as X grows, so
     D(X, v) <= D(S, v) <= 0.  Moving v forward to directly after S therefore
     never raises a later prefix, and some optimal ordering places v next.
-    Both arguments hold under the restriction: a front stays a front while
-    other vertices are placed, so placing v early disallows no vertex, and h
-    bounds every order, allowed or not.
+    This holds under the restriction too: a front stays a front while other
+    vertices are placed, so placing v early disallows no vertex.
 
     The start level.  Let H be a set of unplaced vertices, and take any order.
     Let v be the last vertex of H placed, and w the vertex of H placed just
@@ -149,18 +148,16 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     is at least the least d(v) (the degeneracy bound).  Both arguments hold
     for every order, so also under the front restriction.  ``_start_level``
     takes the bound along a peel chain: H starts as every unplaced vertex,
-    whose least d(v) is h(start) because no arc enters ``start`` from
-    outside, and the vertices with at most the level's out-neighbours in H
-    leave it after each bound, until H has fewer than level + 2 vertices and
-    cannot raise the level.  A search that starts at a bound still returns
-    the least peak, and skips the levels where it would only prove that no
-    order is better.
+    and the vertices with at most the level's out-neighbours in H leave it
+    after each bound, until H has fewer than level + 2 vertices and cannot
+    raise the level.  A search that starts at a bound still returns the
+    least peak, and skips the levels where it would only prove that no order
+    is better.
     """
     n = len(in_mask)
     full = (1 << n) - 1
     if start == full:
         return -1, []
-    by_degree = sorted((mask.bit_count(), 1 << v) for v, mask in enumerate(out_mask))
     if queues is None:
         fronts = dict.fromkeys([1 << v for v in range(n)], ())
         allowed = full ^ start
@@ -222,17 +219,6 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
                     moves = [(bit, successor, grown)]  # a free move: expand it alone
                     break
                 moves.append((bit, successor, grown))
-            if not moves:
-                continue
-            # h of a successor: the least out-degree h of an unplaced vertex,
-            # or the next one up, h_after, when that vertex is the one placed
-            first = h = h_after = 0
-            for degree, bit in by_degree:
-                if unplaced & bit:
-                    if first:
-                        h_after = degree
-                        break
-                    first, h = bit, degree
             for bit, successor, grown in moves:
                 last[successor] = bit.bit_length()
                 if successor == full:
@@ -244,9 +230,6 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
                     order.reverse()
                     return level, order
                 cost = grown.bit_count()
-                bound = h_after if bit == first else h
-                if bound > cost:
-                    cost = bound
                 (stack if cost <= level else buckets[cost]).append(
                     (successor, grown, allowed, bit))
         level += 1

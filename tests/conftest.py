@@ -90,6 +90,12 @@ def sym_clique(n):
     return Digraph.from_named_arcs(arcs, isolated=[f"v{i}" for i in range(n)])
 
 
+def random_digraph(rng, n, percent=35):
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = frozenset(p for p in pairs if rng.below(100) < percent)
+    return Digraph(tuple(f"v{i}" for i in range(n)), arcs)
+
+
 def random_dag(rng, max_vertices=10):
     """Random vertex-valued DAG with designated source and target."""
     from fifo_stackup.oracles import ExplicitDag

@@ -514,6 +514,24 @@ class TestMalformedInput:
         assert codes.get(0, 0) > 300 and codes.get(2, 0) > 300, codes
 
 
+@pytest.mark.parametrize("command,helps", [
+    # solve's lines are pinned in test_cli_pinned.py; bench shares them
+    ("bench",["configuration-count guard for the dp method", "pallet guard for pallet-bf",
+               "bin guard for bin-bf"]),
+    ("dpw", ["vertex guard for the subset method",
+             "configuration-count guard for the stackup method, which counts "
+             "3^(arcs of the stripped digraph) configurations"]),
+])
+def test_guard_options_say_what_they_guard(command, helps, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # wide enough that no help line wraps
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for text in helps:
+        assert text in out, (command, text)
+
+
 def test_pinned_cases_in_one_process(tmp_path, capsys, monkeypatch):
     """Every pinned case, twice in order, through the ``main`` of one process.
     The parser is built once per process, so no call may leave state behind

@@ -22,13 +22,7 @@ from fifo_stackup.processing import (
     _start_level,
 )
 
-from conftest import sym_clique, sym_cycle, sym_path
-
-
-def random_digraph(rng, n, percent=35):
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    arcs = frozenset(p for p in pairs if rng.below(100) < percent)
-    return Digraph(tuple(f"v{i}" for i in range(n)), arcs)
+from conftest import random_digraph, sym_clique, sym_cycle, sym_path
 
 
 def kernel_corpus():

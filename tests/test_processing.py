@@ -21,6 +21,7 @@ from fifo_stackup.oracles import (
     ConfigurationDag,
     ExplicitDag,
     cut,
+    dpw_table,
     open_delta,
     opt_bottleneck,
     prune_priority,
@@ -28,7 +29,7 @@ from fifo_stackup.oracles import (
 )
 from fifo_stackup.processing import _BYTE_TABLE_MAX_VERTICES, grid_size
 
-from conftest import random_dag, random_fifo_order, small_instance
+from conftest import random_dag, random_digraph, random_fifo_order, small_instance
 
 
 def all_path_bottleneck(dag):
@@ -271,10 +272,16 @@ def crosscheck_instance(seed):
 class TestDecisionSearch:
     """The decision-configuration search against the grid DP it replaces."""
 
-    @pytest.mark.parametrize("seed", range(240))
+    @pytest.mark.parametrize("seed", [*range(240), pytest.param(
+        # a stackup_queues benchmark input (seed 1) whose witness changes when
+        # a set's cost is raised to the least out-degree of an unplaced vertex
+        GenSpec(pallets=16, queues=5, seed=8249044719362511507), id="genspec-16-5")])
     def test_matches_grid_dp(self, seed):
-        inst = crosscheck_instance(seed)
-        assert inst.k == 1 + seed % 6
+        if isinstance(seed, GenSpec):
+            inst = generate_instance(seed)
+        else:
+            inst = crosscheck_instance(seed)
+            assert inst.k == 1 + seed % 6
         places, bin_solution, pallet_solution = solve_min_places(inst)
         assert places == opt_bottleneck(ConfigurationDag(inst)).value
         report = replay(inst, bin_solution)
@@ -437,6 +444,24 @@ class TestStartLevel:
             assert all(bound <= optimum - 1 for bound in bounds)
             with_single_bins += bool(bounds) and 1 in inst.bin_counts()
         assert with_single_bins >= 80
+
+    def test_exact_from_level_zero(self, monkeypatch):
+        """The start level meets the optimum on most inputs; started at 0,
+        the search walks every level through the buckets and must still
+        agree with the grid DP and the subset table."""
+        monkeypatch.setattr(processing, "_start_level", lambda *args: 0)
+        for seed in range(240):
+            inst = crosscheck_instance(seed)
+            places, bin_solution, _ = solve_min_places(inst)
+            assert places == opt_bottleneck(ConfigurationDag(inst)).value
+            report = replay(inst, bin_solution)
+            assert report.valid and report.max_open == places
+        for percent in (5, 20, 35, 50, 65, 80, 95, 100):
+            rng = SplitMix64(percent * 173 + 5)
+            for n in range(2, 12):
+                for _ in range(3):
+                    graph = random_digraph(rng, n, percent)
+                    assert dpw_exact(graph).width == dpw_table(graph).width
 
     def test_a_bound_one_too_high_is_caught(self, monkeypatch):
         """Where the bound meets the optimum, one more makes the solver
