@@ -14,28 +14,23 @@ import sys
 import time
 from pathlib import Path
 
-from . import (BudgetError, Instance, InstanceFormatError, InternalError, PalletSolution,
-               TransformStuckError, emit_instance, opening_order, parse_instance, replay,
-               solve_min_places, transform, validate)
+from . import BudgetError, InstanceFormatError, InternalError, TransformStuckError
 # Option defaults, not public names.  The oracles, the generators and csv are
 # imported only by the commands that run them.
 from .processing import (DEFAULT_CONFIGURATION_BUDGET, DEFAULT_MAX_BINS, DEFAULT_MAX_PALLETS,
                          DEFAULT_MAX_VERTICES)
 
-# The graph functions are read from the package on first use (PEP 562), so
-# that solve and transform never load seqgraph and pathwidth.  They stay
-# attributes of this module, and the graph commands call them through
-# ``_cli``: a wrapper set on the module with setattr is the function that runs.
-_GRAPH_NAMES = ("build_sequence_graph", "decomposition_to_dot", "digraph_to_dot",
-                "emit_digraph", "parse_digraph", "reduce_digraph_to_queues",
-                "strip_endpoints", "dpw_exact", "dpw_via_stackup")
+# Every library function and record is called through ``_cli``, and read from
+# the package on first use (PEP 562): a command loads only the modules it
+# runs, and a wrapper set on this module with setattr is the function that runs.
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _GRAPH_NAMES:
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(sys.modules[__package__], name)
+    value = getattr(package, name)
     globals()[name] = value
     return value
 
@@ -44,8 +39,9 @@ METHODS = ("dp", "pallet-bf", "bin-bf")
 
 
 def _read(path) -> str:
-    """The text of an input file, as UTF-8 whatever the locale."""
-    return Path(path).read_text(encoding="utf-8")
+    """The text of an input file, as UTF-8 whatever the locale; a leading
+    byte-order mark is dropped."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _print_json(payload) -> None:
@@ -56,7 +52,7 @@ def _format_moves(moves: tuple[tuple[int, int], ...]) -> str:
     return " ".join(f"q{j + 1}[{pos}]" for j, pos in moves)
 
 
-def _run_method(inst: Instance, name: str, method: str, args) -> dict:
+def _run_method(inst, name: str, method: str, args) -> dict:
     """Solve by the named method; the single place where a solver is picked.
 
     Returns the ``solve --json`` payload.  A witness is replayed, and one that
@@ -69,19 +65,19 @@ def _run_method(inst: Instance, name: str, method: str, args) -> dict:
         from . import oracles
     started = time.perf_counter()
     if method == "dp":
-        places, bin_solution, pallet_solution = solve_min_places(
+        places, bin_solution, pallet_solution = _cli.solve_min_places(
             inst, max_configurations=args.budget)
     elif method == "pallet-bf":
         places, searched = oracles.brute_force_pallet_orders(
             inst, max_pallets=args.max_pallets)
-        bin_solution = transform(inst, searched)
-        pallet_solution = opening_order(inst, bin_solution)
+        bin_solution = _cli.transform(inst, searched)
+        pallet_solution = _cli.opening_order(inst, bin_solution)
     else:
         places = oracles.brute_force_bin_orders(inst, max_bins=args.max_bins)
         bin_solution = pallet_solution = None
     elapsed = time.perf_counter() - started
     if bin_solution is not None:
-        report = replay(inst, bin_solution)
+        report = _cli.replay(inst, bin_solution)
         if not report.valid or report.max_open != places:
             raise InternalError(
                 f"{method} witness replays as valid={report.valid} with max_open "
@@ -104,7 +100,7 @@ def _run_method(inst: Instance, name: str, method: str, args) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    inst = parse_instance(_read(args.instance))
+    inst = _cli.parse_instance(_read(args.instance))
     report = _run_method(inst, Path(args.instance).name, args.method, args)
     yes = args.places is None or report["min_places"] <= args.places
     if args.json:
@@ -121,10 +117,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    inst = parse_instance(_read(args.instance))
-    pallet_solution = PalletSolution.from_symbols(inst, args.pallets.split(","))
-    bin_solution = transform(inst, pallet_solution)
-    report = replay(inst, bin_solution)
+    inst = _cli.parse_instance(_read(args.instance))
+    pallet_solution = _cli.PalletSolution.from_symbols(inst, args.pallets.split(","))
+    bin_solution = _cli.transform(inst, pallet_solution)
+    report = _cli.replay(inst, bin_solution)
     if args.json:
         _print_json({
             "pallet_solution": pallet_solution.to_symbols(inst),
@@ -138,7 +134,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_seqgraph(args) -> int:
-    inst = parse_instance(_read(args.instance))
+    inst = _cli.parse_instance(_read(args.instance))
     graph = _cli.build_sequence_graph(inst)
     print(_cli.digraph_to_dot(graph) if args.dot else _cli.emit_digraph(graph), end="")
     return 0
@@ -151,7 +147,7 @@ def _cmd_reduce(args) -> int:
         for name, kind in removals:
             print(f"stripped {kind} vertex {name}", file=sys.stderr)
     inst = _cli.reduce_digraph_to_queues(graph)
-    print(emit_instance(inst), end="")
+    print(_cli.emit_instance(inst), end="")
     return 0
 
 
@@ -177,28 +173,26 @@ def _cmd_dpw(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from . import GenSpec, generate_instance, random_admissible_digraph
-
     if args.from_digraph:
-        graph = random_admissible_digraph(
+        graph = _cli.random_admissible_digraph(
             args.vertices, max_degree=args.max_deg, seed=args.seed)
         inst = _cli.reduce_digraph_to_queues(graph)
     else:
         min_bins, max_bins = args.bins_per_pallet
-        spec = GenSpec(
+        spec = _cli.GenSpec(
             pallets=args.pallets,
             queues=args.queues,
             min_bins=min_bins,
             max_bins=max_bins,
             seed=args.seed,
         )
-        inst = generate_instance(spec)
-    text = emit_instance(inst)
+        inst = _cli.generate_instance(spec)
+    text = _cli.emit_instance(inst)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
-    report = validate(inst)
+    report = _cli.validate(inst)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
@@ -228,7 +222,7 @@ def _cmd_bench(args) -> int:
     internal = False
     for path in corpus:
         try:
-            inst = parse_instance(_read(path))
+            inst = _cli.parse_instance(_read(path))
         except (InstanceFormatError, UnicodeDecodeError, OSError) as exc:
             errors.append(f"could not read {path.name}: {exc}")
             rows.extend({"instance": path.name, "method": method, "value": None,

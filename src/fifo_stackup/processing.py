@@ -54,41 +54,35 @@ def solve_min_places(
 ) -> tuple[int, BinSolution, PalletSolution]:
     """Minimum number of stack-up places over all processings, with witnesses.
 
-    The search runs over the pallets with two or more bins; the in-neighbours
-    of t are those with a bin before a t-bin in some queue, and its
-    out-neighbours those with a bin after one.  A one-bin pallet never opens,
-    and taking it from a front is forced like draining an open pallet, so the
-    one-bin pallets are placed from the start.  A forward pass over each
-    queue builds the in-masks and its pallets in first-occurrence order, from
-    which the search keeps the front pallets; a backward pass builds the
-    out-masks.  ``transform`` turns the order found, after the one-bin
-    pallets, into the bin solution, and the pallet solution is its pallets by
-    first removal.  The budget bounds the grid product before any search;
-    the grid DP of ``ConfigurationDag`` has its own cap,
-    ``oracles.MAX_GRID_CONFIGURATIONS``.
+    The search runs over the sequence graph: the in-neighbours of t are the
+    pallets with a bin before a t-bin in some queue, and its out-neighbours
+    those with a bin after one.  A forward pass over each queue builds the
+    in-masks and a backward pass the out-masks.  A one-bin pallet never
+    opens, and taking it from a front is forced like draining an open pallet,
+    so the one-bin pallets are the search's ``start``, placed first, and are
+    left out of the queues: each queue's other pallets in first-occurrence
+    order, from which the search keeps the front pallets.  ``transform``
+    turns the order found, after the one-bin pallets, into the bin solution,
+    and the pallet solution is its pallets by first removal.  The budget
+    bounds the grid product before any search; the grid DP of
+    ``ConfigurationDag`` has its own cap, ``oracles.MAX_GRID_CONFIGURATIONS``.
     """
     grid_size(inst, max_configurations)
     singles = sum(1 << t for t, count in enumerate(inst.bin_counts()) if count == 1)
     in_mask = [0] * inst.m
     out_mask = [0] * inst.m
-    queues = []
     for seq in inst.sequences:
         seen = 0
-        queue = []
         for t in seq:
             bit = 1 << t
-            if not singles & bit:
-                in_mask[t] |= seen & ~bit
-                if not seen & bit:
-                    queue.append(t)
-                    seen |= bit
-        queues.append(queue)
+            in_mask[t] |= seen & ~bit
+            seen |= bit
         later = 0
         for t in reversed(seq):
             bit = 1 << t
-            if not singles & bit:
-                out_mask[t] |= later & ~bit
-                later |= bit
+            out_mask[t] |= later & ~bit
+            later |= bit
+    queues = [[t for t in dict.fromkeys(seq) if not singles >> t & 1] for seq in inst.sequences]
     peak, order = _minimax_order(in_mask, out_mask, singles, queues)
     order = [t for t in range(inst.m) if singles >> t & 1] + order
     bin_solution = transform(inst, PalletSolution(tuple(order)))
@@ -103,16 +97,18 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
 
     ``in_mask[v]`` and ``out_mask[v]`` are the bitmasks of the in- and
     out-neighbours of vertex v.  The boundary b(S) holds the placed vertices
-    with an unplaced in-neighbour; the peak of an order is the largest |b(S)|
-    over its prefixes S before the last vertex, or -1 when no vertex is left
-    to place.  The vertices of ``start`` have no in-neighbour outside it, so
-    b(start) is empty.  Any unplaced vertex may come next unless ``queues``
-    is given: ``queues[i]`` lists the vertices of queue i outside ``start``,
-    each once, and only the front of each queue, its first vertex not in S,
-    may come next.  Whether v heads a queue depends on S alone: every vertex
-    ahead of v there is placed, a mask built once.  A stack entry carries the
-    allowed mask of its parent and the vertex v placed last; at its pop v
-    leaves the mask, and each queue v headed adds its next unplaced vertex.
+    outside ``start`` with an unplaced in-neighbour, so b(start) is empty;
+    the peak of an order is the largest |b(S)| over its prefixes S before the
+    last vertex, or -1 when no vertex is left to place.  The masks may name
+    vertices of ``start``: the search reads only the masks of unplaced and
+    boundary vertices, and of those only the unplaced and boundary bits.  Any
+    unplaced vertex may come next unless ``queues`` is given: ``queues[i]``
+    lists the vertices of queue i outside ``start``, each once, and only the
+    front of each queue, its first vertex not in S, may come next.  Whether v
+    heads a queue depends on S alone: every vertex ahead of v there is
+    placed, a mask built once.  A stack entry carries the allowed mask of its
+    parent and the vertex v placed last; at its pop v leaves the mask, and
+    each queue v headed adds its next unplaced vertex.
 
     A minimax search over the sets S, with b(S) carried as a bitmask.
     Placing v drops from b(S) the vertices whose one unplaced in-neighbour is
@@ -130,8 +126,8 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     Free moves: when placing v does not grow the boundary, |b(S + v)| <=
     |b(S)|, v is the only successor expanded from S.  This is sound because b
     is submodular.  For S within X and v not in X, placing v changes |b(X)| by
-    D(X, v) = [in(v) not within X + v] - |{u in X : in(u) - X = {v}}|, whose
-    first term can only fall and whose set can only grow as X grows, so
+    D(X, v) = [in(v) not within X + v] - |{u in X - start : in(u) - X = {v}}|,
+    whose first term can only fall and whose set can only grow as X grows, so
     D(X, v) <= D(S, v) <= 0.  Moving v forward to directly after S therefore
     never raises a later prefix, and some optimal ordering places v next.
     This holds under the restriction too: a front stays a front while other

@@ -1,3 +1,4 @@
+import codecs
 import importlib.util
 import json
 import os
@@ -512,6 +513,26 @@ class TestMalformedInput:
                 codes[code] = codes.get(code, 0) + 1
         # the corpus reaches past the parsers, not only their error paths
         assert codes.get(0, 0) > 300 and codes.get(2, 0) > 300, codes
+
+
+@pytest.mark.parametrize("argv,name,text", [
+    (["solve", "--min", "--json", "{file}"], "ex1.fsu", TWO_QUEUE_TEXT),
+    (["dpw", "--json", "{file}"], "ex5.digraph", RING_DIGRAPH_TEXT),
+    (["bench", "--json", "{directory}"], "ex1.fsu", TWO_QUEUE_TEXT),
+], ids=["solve", "dpw", "bench"])
+def test_a_byte_order_mark_is_ignored(tmp_path, capsys, argv, name, text):
+    """A file saved with a UTF-8 byte-order mark reads as the same file
+    without one."""
+    results = []
+    for prefix in (b"", codecs.BOM_UTF8):
+        directory = tmp_path / ("bom" if prefix else "plain")
+        directory.mkdir()
+        (directory / name).write_bytes(prefix + text.encode("utf-8"))
+        files = {"file": str(directory / name), "directory": str(directory)}
+        code = main([arg.format(**files) for arg in argv])
+        results.append((code, PINNED.mask_times(capsys.readouterr().out)))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
 
 
 @pytest.mark.parametrize("command,helps", [

@@ -27,6 +27,7 @@ from fifo_stackup.oracles import (
     prune_priority,
     val_threshold_oracle,
 )
+from fifo_stackup.pathwidth import _arc_masks
 from fifo_stackup.processing import _BYTE_TABLE_MAX_VERTICES, grid_size
 
 from conftest import random_dag, random_digraph, random_fifo_order, small_instance
@@ -290,6 +291,31 @@ class TestDecisionSearch:
 
     def test_single_bin_pallets_are_covered(self):
         assert sum(1 in crosscheck_instance(seed).bin_counts() for seed in range(240)) >= 50
+
+    def test_the_search_runs_on_the_sequence_graph(self, monkeypatch):
+        """The search gets the sequence graph's own masks, the one-bin pallets
+        as ``start``, and each queue's other pallets in first-occurrence order."""
+        calls = []
+        real = processing._minimax_order
+
+        def spying(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(processing, "_minimax_order", spying)
+        with_single_bins = 0
+        for seed in range(240):
+            inst = crosscheck_instance(seed)
+            del calls[:]
+            solve_min_places(inst)
+            [(in_mask, out_mask, start, queues)] = calls
+            singles = {t for t, count in enumerate(inst.bin_counts()) if count == 1}
+            assert (in_mask, out_mask) == _arc_masks(build_sequence_graph(inst)), seed
+            assert start == sum(1 << t for t in singles), seed
+            assert queues == [[t for t in dict.fromkeys(seq) if t not in singles]
+                              for seq in inst.sequences], seed
+            with_single_bins += bool(singles)
+        assert with_single_bins >= 80
 
     def test_large_six_queue_grid(self):
         inst = generate_instance(GenSpec(pallets=16, queues=6, min_bins=3, max_bins=4, seed=1))
