@@ -7,8 +7,8 @@ set S of pallets started so far, and one step opens a front pallet and
 drains the fronts of open pallets.  The pallets open at S are the boundary
 b(S) of S in the sequence graph, so the search is ``_minimax_order``, the
 one ``pathwidth.dpw_exact`` runs, restricted to front pallets: the caller
-hands it the pallets of each queue in first-occurrence order, and the
-engine tells a front by the pallets ahead of it in its queue.  The search
+hands it the queues as they are, and the engine keeps each pallet's first
+occurrence and tells a front by the pallets ahead of it there.  The search
 starts at a proven lower bound on the peak, the degeneracy and two-vertex
 bounds of the out-neighbours; see ``_minimax_order``.
 
@@ -59,9 +59,8 @@ def solve_min_places(
     those with a bin after one.  A forward pass over each queue builds the
     in-masks and a backward pass the out-masks.  A one-bin pallet never
     opens, and taking it from a front is forced like draining an open pallet,
-    so the one-bin pallets are the search's ``start``, placed first, and are
-    left out of the queues: each queue's other pallets in first-occurrence
-    order, from which the search keeps the front pallets.  ``transform``
+    so the one-bin pallets are the search's ``start``, placed first, and the
+    search keeps the front pallets of the queues as they are.  ``transform``
     turns the order found, after the one-bin pallets, into the bin solution,
     and the pallet solution is its pallets by first removal.  The budget
     bounds the grid product before any search; the grid DP of
@@ -82,8 +81,7 @@ def solve_min_places(
             bit = 1 << t
             out_mask[t] |= later & ~bit
             later |= bit
-    queues = [[t for t in dict.fromkeys(seq) if not singles >> t & 1] for seq in inst.sequences]
-    peak, order = _minimax_order(in_mask, out_mask, singles, queues)
+    peak, order = _minimax_order(in_mask, out_mask, singles, inst.sequences)
     order = [t for t in range(inst.m) if singles >> t & 1] + order
     bin_solution = transform(inst, PalletSolution(tuple(order)))
     sequences = inst.sequences
@@ -102,26 +100,31 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     last vertex, or -1 when no vertex is left to place.  The masks may name
     vertices of ``start``: the search reads only the masks of unplaced and
     boundary vertices, and of those only the unplaced and boundary bits.  Any
-    unplaced vertex may come next unless ``queues`` is given: ``queues[i]``
-    lists the vertices of queue i outside ``start``, each once, and only the
-    front of each queue, its first vertex not in S, may come next.  Whether v
-    heads a queue depends on S alone: every vertex ahead of v there is
-    placed, a mask built once.  A stack entry carries the allowed mask of its
-    parent and the vertex v placed last; at its pop v leaves the mask, and
-    each queue v headed adds its next unplaced vertex.
+    unplaced vertex may come next unless ``queues`` is given: then only the
+    front of each queue, its first vertex not in S, may come next, and a
+    vertex outside ``start`` and every queue raises ValueError.  A queue may
+    repeat a vertex or hold ``start`` vertices; only first occurrences count.
+    Whether v heads a queue depends on S alone: every vertex ahead of v there
+    is placed, a mask built once.  A stack entry carries the allowed mask of
+    its parent and the bit v placed last, 0 at the start, which heads every
+    queue; at its pop v leaves the mask, and each queue v headed adds its
+    next unplaced vertex.
 
     A minimax search over the sets S, with b(S) carried as a bitmask.
     Placing v drops from b(S) the vertices whose one unplaced in-neighbour is
     v, and adds v if it has an unplaced in-neighbour.  The cost of S is
     |b(S)|.  Levels are costs, visited in increasing order from a start level
     that no order can beat, the bound below.  Sets whose cost is at most the
-    level go on a stack, and costlier ones wait in a bucket per cost (Dial's
-    buckets, not a heap).  A successor already seen is skipped before its
-    boundary is computed.  One table, holding 1 + the vertex placed last, is
-    both the seen mark and the witness link.  The search is exact because a
-    set's cost depends on the set alone: every path to S has a peak of at
-    least |b(S)|, so skipping S when it is seen again loses no cheaper path
-    to it.
+    level go on a stack.  As b(S + v) is within b(S) + v, a step raises the
+    cost by at most one, so a costlier set costs level + 1 and waits in one
+    list, the next level's stack.  A cost that can rise more per step, such
+    as one raised to a per-set bound like the least out-degree of an
+    unplaced vertex, h(S), would need a list per cost (Dial's buckets) again.
+    A successor already seen is skipped before its boundary is computed.  One
+    table, holding 1 + the vertex placed last, is both the seen mark and the
+    witness link.  The search is exact because a set's cost depends on the
+    set alone: every path to S has a peak of at least |b(S)|, so skipping S
+    when it is seen again loses no cheaper path to it.
 
     Free moves: when placing v does not grow the boundary, |b(S + v)| <=
     |b(S)|, v is the only successor expanded from S.  This is sound because b
@@ -154,28 +157,22 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     full = (1 << n) - 1
     if start == full:
         return -1, []
-    if queues is None:
-        fronts = dict.fromkeys([1 << v for v in range(n)], ())
-        allowed = full ^ start
-    else:
-        # per vertex bit, one triple per queue that holds it: the bits ahead
-        # of it, the queue's bits ending in a 0 sentinel, the index after it
-        fronts = {1 << v: [] for v in range(n)}
-        allowed = 0
-        for queue in queues:
-            bits = [1 << v for v in queue] + [0]
-            allowed |= bits[0]
-            ahead = 0
-            for p, bit in enumerate(bits[:-1], 1):
-                fronts[bit].append((ahead, bits, p))
-                ahead |= bit
-    fronts[0] = ()  # the bit placed last at the start
+    # per bit placed last (0 at the start), one triple per queue that holds
+    # it: the bits ahead of it, the queue's first occurrences between two 0s,
+    # the index after it
+    fronts = {bit: [] for bit in [0] + [1 << v for v in range(n)]}
+    for queue in queues or ():
+        bits = [0] + [1 << v for v in dict.fromkeys(queue)] + [0]
+        ahead = 0
+        for p, bit in enumerate(bits[:-1], 1):
+            fronts[bit].append((ahead, bits, p))
+            ahead |= bit
     # 1 + the vertex placed last; 0 while unseen
     last = bytearray(1 << n) if n <= _BYTE_TABLE_MAX_VERTICES else _Links()
-    buckets: list[list[tuple]] = [[] for _ in range(n + 1)]
     level = _start_level(out_mask, full ^ start)
     # (S, b(S), the parent's allowed mask, the bit placed last)
-    stack = [(start, 0, allowed, 0)]
+    stack = [(start, 0, full ^ start if queues is None else 0, 0)]
+    later = []  # the sets that cost level + 1
     while True:
         while stack:
             placed, boundary, allowed, bit = stack.pop()
@@ -225,13 +222,12 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
                         successor ^= 1 << v
                     order.reverse()
                     return level, order
-                cost = grown.bit_count()
-                (stack if cost <= level else buckets[cost]).append(
+                (stack if grown.bit_count() <= level else later).append(
                     (successor, grown, allowed, bit))
+        if not later:
+            raise ValueError("a vertex outside start is in no queue")
         level += 1
-        while not buckets[level]:
-            level += 1
-        stack = buckets[level]
+        stack, later = later, []
 
 
 def _start_level(out_mask, unplaced):

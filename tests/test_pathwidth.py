@@ -124,6 +124,21 @@ class TestLevelSearch:
             check = validate_decomposition(graph, result.decomposition)
             assert check.ok and check.width == width
 
+    @pytest.mark.parametrize("percent", [5, 20, 35, 50, 65, 80, 95, 100])
+    def test_a_step_grows_the_boundary_by_at_most_its_vertex(self, percent):
+        """b(S + v) lies within b(S) + v for every set S and vertex v outside
+        it, so a step raises a set's cost by at most one and every set the
+        search defers costs the level + 1.  b is taken from the definition:
+        the vertices of S with an in-neighbour outside S."""
+        rng = SplitMix64(percent * 97 + 3)
+        for n in range(1, 10):
+            graph = random_digraph(rng, n, percent)
+            sets = [{v for v in range(n) if mask >> v & 1} for mask in range(1 << n)]
+            boundary = [{v for u, v in graph.arcs if v in s and u not in s} for s in sets]
+            for mask, s in enumerate(sets):
+                for v in set(range(n)) - s:
+                    assert boundary[mask | 1 << v] <= boundary[mask] | {v}, (n, mask, v)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_sequence_graphs(self, seed):
         """Sequence graphs of 12-14 pallets are dense (median arc density

@@ -294,7 +294,7 @@ class TestDecisionSearch:
 
     def test_the_search_runs_on_the_sequence_graph(self, monkeypatch):
         """The search gets the sequence graph's own masks, the one-bin pallets
-        as ``start``, and each queue's other pallets in first-occurrence order."""
+        as ``start``, and the instance's own queues."""
         calls = []
         real = processing._minimax_order
 
@@ -312,10 +312,26 @@ class TestDecisionSearch:
             singles = {t for t, count in enumerate(inst.bin_counts()) if count == 1}
             assert (in_mask, out_mask) == _arc_masks(build_sequence_graph(inst)), seed
             assert start == sum(1 << t for t in singles), seed
-            assert queues == [[t for t in dict.fromkeys(seq) if t not in singles]
-                              for seq in inst.sequences], seed
+            assert queues is inst.sequences, seed
             with_single_bins += bool(singles)
         assert with_single_bins >= 80
+
+    def test_the_queues_are_taken_as_they_are(self):
+        """The search counts a pallet's first occurrence in a queue and walks
+        past ``start`` itself: given the raw queues, it returns the peak and
+        order it returns for each queue's first occurrences without the
+        one-bin pallets."""
+        headed_by_single_bins = 0
+        for seed in range(240):
+            inst = crosscheck_instance(seed)
+            singles = {t for t, count in enumerate(inst.bin_counts()) if count == 1}
+            masks = _arc_masks(build_sequence_graph(inst))
+            start = sum(1 << t for t in singles)
+            lists = [[t for t in dict.fromkeys(seq) if t not in singles] for seq in inst.sequences]
+            assert (processing._minimax_order(*masks, start, inst.sequences)
+                    == processing._minimax_order(*masks, start, lists)), seed
+            headed_by_single_bins += any(seq[0] in singles for seq in inst.sequences)
+        assert headed_by_single_bins >= 40
 
     def test_large_six_queue_grid(self):
         inst = generate_instance(GenSpec(pallets=16, queues=6, min_bins=3, max_bins=4, seed=1))
@@ -390,6 +406,14 @@ class TestFrontWalk:
         report = replay(inst, bin_solution)
         assert report.valid and report.max_open == places
         assert pallet_solution == opening_order(inst, bin_solution)
+
+    def test_a_vertex_in_no_queue_is_refused(self):
+        """Once the queues are empty, the search has no set left to pop and
+        says so, instead of climbing levels for ever."""
+        with pytest.raises(ValueError, match="in no queue"):
+            processing._minimax_order([0, 0], [0, 0], 0, [[0]])
+        with pytest.raises(ValueError, match="in no queue"):
+            processing._minimax_order([0, 1, 0], [2, 0, 0], 1, [[0, 1], [0]])
 
 
 class TestPrunePriority:
@@ -473,8 +497,8 @@ class TestStartLevel:
 
     def test_exact_from_level_zero(self, monkeypatch):
         """The start level meets the optimum on most inputs; started at 0,
-        the search walks every level through the buckets and must still
-        agree with the grid DP and the subset table."""
+        the search climbs every level, one waiting list at a time, and must
+        still agree with the grid DP and the subset table."""
         monkeypatch.setattr(processing, "_start_level", lambda *args: 0)
         for seed in range(240):
             inst = crosscheck_instance(seed)
