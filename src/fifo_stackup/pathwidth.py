@@ -39,7 +39,10 @@ class DpwResult(Record):
 
 
 def _certify(graph: Digraph, decomposition: DirectedPathDecomposition, width: int) -> None:
-    check = validate_decomposition(graph, decomposition)
+    try:
+        check = validate_decomposition(graph, decomposition)
+    except ValueError as exc:
+        raise InternalError(f"witness decomposition failed certification ({exc})") from exc
     if not check.ok or check.width != width:
         raise InternalError(
             f"witness decomposition failed certification "

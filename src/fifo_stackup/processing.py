@@ -20,7 +20,7 @@ product, not the number of states visited.
 
 from __future__ import annotations
 
-from .errors import BudgetError
+from .errors import BudgetError, InternalError, TransformStuckError
 # build_pallet_index stays a module attribute: perfbench/spans.py wraps
 # fifo_stackup.processing.build_pallet_index in traced runs.
 from .instance import Instance, build_pallet_index  # noqa: F401
@@ -62,9 +62,9 @@ def solve_min_places(
     so the one-bin pallets are the search's ``start``, placed first, and the
     search keeps the front pallets of the queues as they are.  ``transform``
     turns the order found, after the one-bin pallets, into the bin solution,
-    and the pallet solution is its pallets by first removal.  The budget
-    bounds the grid product before any search; the grid DP of
-    ``ConfigurationDag`` has its own cap, ``oracles.MAX_GRID_CONFIGURATIONS``.
+    and the pallet solution is its pallets by first removal; an order it
+    refuses is an InternalError.  The budget caps the grid product before any
+    search; ``oracles.MAX_GRID_CONFIGURATIONS`` caps that of the grid DP.
     """
     grid_size(inst, max_configurations)
     singles = sum(1 << t for t, count in enumerate(inst.bin_counts()) if count == 1)
@@ -83,7 +83,10 @@ def solve_min_places(
             later |= bit
     peak, order = _minimax_order(in_mask, out_mask, singles, inst.sequences)
     order = [t for t in range(inst.m) if singles >> t & 1] + order
-    bin_solution = transform(inst, PalletSolution(tuple(order)))
+    try:
+        bin_solution = transform(inst, PalletSolution(tuple(order)))
+    except (TransformStuckError, ValueError) as exc:
+        raise InternalError(f"the search's pallet order is no processing: {exc}") from exc
     sequences = inst.sequences
     opened = dict.fromkeys(sequences[j][pos - 1] for j, pos in bin_solution.moves)
     return peak + 1, bin_solution, PalletSolution(tuple(opened))
@@ -111,8 +114,9 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     next unplaced vertex.
 
     A minimax search over the sets S, with b(S) carried as a bitmask.
-    Placing v drops from b(S) the vertices whose one unplaced in-neighbour is
-    v, and adds v if it has an unplaced in-neighbour.  The cost of S is
+    Placing v adds v unless in(v) is within S + v, and drops each u of
+    out(v) & b(S) with in(u) within S + v; a step reads only out(v) & b(S),
+    as no other u loses an unplaced in-neighbour.  The cost of S is
     |b(S)|.  Levels are costs, visited in increasing order from a start level
     that no order can beat, the bound below.  Sets whose cost is at most the
     level go on a stack.  As b(S + v) is within b(S) + v, a step raises the
@@ -183,7 +187,7 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
                     while placed & bits[p]:
                         p += 1
                     allowed |= bits[p]
-            single = -1  # set up at the first unseen successor
+            size = boundary.bit_count()
             moves = []
             rest = allowed
             while rest:
@@ -192,22 +196,14 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
                 successor = placed | bit
                 if last[successor]:
                     continue
-                if single < 0:
-                    # boundary vertices with exactly one unplaced in-neighbour
-                    # leave when that one is placed
-                    size = boundary.bit_count()
-                    single = 0
-                    left = boundary
-                    while left:
-                        low = left & -left
-                        left ^= low
-                        waiting = in_mask[low.bit_length() - 1] & unplaced
-                        if not waiting & (waiting - 1):
-                            single |= low
                 v = bit.bit_length() - 1
-                grown = boundary ^ (single & out_mask[v])
-                if in_mask[v] & unplaced:
-                    grown |= bit
+                grown = boundary | bit if in_mask[v] & unplaced else boundary
+                near = out_mask[v] & boundary
+                while near:
+                    low = near & -near
+                    near ^= low
+                    if not in_mask[low.bit_length() - 1] & (unplaced ^ bit):
+                        grown ^= low
                 if grown.bit_count() <= size:
                     moves = [(bit, successor, grown)]  # a free move: expand it alone
                     break

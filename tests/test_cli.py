@@ -463,6 +463,47 @@ class TestInternalFaults:
             assert captured.out == ""
             assert captured.err.startswith("internal error: witness decomposition failed")
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda order: order[:-1], "stuck: no front bin matches"),
+        (lambda order: order + order[:1], "pallet order contains duplicates"),
+    ], ids=["missing", "duplicated"])
+    def test_solve_with_a_search_order_that_is_no_processing_exits_3(
+            self, monkeypatch, two_queue_path, mutate, message, capsys):
+        import fifo_stackup.processing as processing
+
+        real = processing._minimax_order
+
+        def mutated(*args):
+            peak, order = real(*args)
+            return peak, mutate(order)
+
+        monkeypatch.setattr(processing, "_minimax_order", mutated)
+        assert main(["solve", "--min", two_queue_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal error: the search's pallet order is no processing: " + message)
+        assert "Traceback" not in captured.err
+
+    def test_dpw_with_a_search_order_naming_an_unknown_vertex_exits_3(
+            self, monkeypatch, ring_digraph_path, capsys):
+        import fifo_stackup.pathwidth as pathwidth
+
+        real = pathwidth._minimax_order
+
+        def out_of_range(in_mask, out_mask):
+            width, order = real(in_mask, out_mask)
+            return width, order[:-1] + [len(in_mask)]
+
+        monkeypatch.setattr(pathwidth, "_minimax_order", out_of_range)
+        assert main(["dpw", ring_digraph_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal error: witness decomposition failed certification "
+            "(bags reference unknown vertex ids [6])")
+        assert "Traceback" not in captured.err
+
 
 class TestMalformedInput:
     """Seeded texts from a token alphabet, run through every reading command:

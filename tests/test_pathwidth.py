@@ -128,16 +128,27 @@ class TestLevelSearch:
     def test_a_step_grows_the_boundary_by_at_most_its_vertex(self, percent):
         """b(S + v) lies within b(S) + v for every set S and vertex v outside
         it, so a step raises a set's cost by at most one and every set the
-        search defers costs the level + 1.  b is taken from the definition:
-        the vertices of S with an in-neighbour outside S."""
+        search defers costs the level + 1.  It is exactly the engine's step
+        rule: b(S) + [v if in(v) is not within S + v] - {u in out(v) & b(S) :
+        in(u) within S + v}.  b is taken from the definition: the vertices of
+        S with an in-neighbour outside S."""
         rng = SplitMix64(percent * 97 + 3)
         for n in range(1, 10):
             graph = random_digraph(rng, n, percent)
+            ins = [{u for u, w in graph.arcs if w == v} for v in range(n)]
+            outs = [{w for u, w in graph.arcs if u == v} for v in range(n)]
             sets = [{v for v in range(n) if mask >> v & 1} for mask in range(1 << n)]
             boundary = [{v for u, v in graph.arcs if v in s and u not in s} for s in sets]
             for mask, s in enumerate(sets):
                 for v in set(range(n)) - s:
-                    assert boundary[mask | 1 << v] <= boundary[mask] | {v}, (n, mask, v)
+                    after = boundary[mask | 1 << v]
+                    assert after <= boundary[mask] | {v}, (n, mask, v)
+                    placed = s | {v}
+                    step = boundary[mask] - {u for u in outs[v] & boundary[mask]
+                                             if ins[u] <= placed}
+                    if not ins[v] <= placed:
+                        step.add(v)
+                    assert after == step, (n, mask, v)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_sequence_graphs(self, seed):

@@ -259,6 +259,18 @@ class TestSolveMinPlaces:
         inst = tiny_instance(seed, min_bins=1)
         assert solve_min_places(inst)[0] == brute_force_bin_orders(inst)
 
+    def test_a_wide_boundary(self):
+        """50 pallets on 6 queues, where the boundary holds up to 21 pallets
+        at once: 22 places, and the witness replays at 22.  The grid DP,
+        ``opt_bottleneck(ConfigurationDag(inst))``, confirms 22 over the
+        2.3·10^6 configurations, but takes about 15 s and 400 MB, too slow
+        for the suite."""
+        inst = generate_instance(GenSpec(pallets=50, queues=6, seed=3))
+        places, bin_solution, _ = solve_min_places(inst)
+        assert places == 22
+        report = replay(inst, bin_solution)
+        assert report.valid and report.max_open == 22
+
 
 def crosscheck_instance(seed):
     """Seeded instance with 1..6 queues; odd seed blocks allow single-bin pallets."""
