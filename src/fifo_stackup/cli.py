@@ -2,7 +2,8 @@
 
 Exit codes: 0 for yes/success, 1 for a negative decision answer, 2 for any
 error (parse failures, budget guards, inadmissible inputs), 3 for an internal
-fault (a solver's witness that fails its replay or certification).
+fault (a solver's witness that fails its replay or certification, or an
+exception no handler classifies).
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ import time
 from pathlib import Path
 
 from . import BudgetError, InstanceFormatError, InternalError, TransformStuckError
-# Option defaults, not public names.  The oracles, the generators and csv are
-# imported only by the commands that run them.
-from .processing import (DEFAULT_CONFIGURATION_BUDGET, DEFAULT_MAX_BINS, DEFAULT_MAX_PALLETS,
-                         DEFAULT_MAX_VERTICES)
 
 # Every library function and record is called through ``_cli``, and read from
 # the package on first use (PEP 562): a command loads only the modules it
@@ -36,6 +33,12 @@ def __getattr__(name):
 
 
 METHODS = ("dp", "pallet-bf", "bin-bf")
+
+
+def _given(**options) -> dict:
+    """The options the user gave: one left out is None here, and gets the
+    default of the function it is passed to."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _read(path) -> str:
@@ -66,14 +69,14 @@ def _run_method(inst, name: str, method: str, args) -> dict:
     started = time.perf_counter()
     if method == "dp":
         places, bin_solution, pallet_solution = _cli.solve_min_places(
-            inst, max_configurations=args.budget)
+            inst, **_given(max_configurations=args.budget))
     elif method == "pallet-bf":
         places, searched = oracles.brute_force_pallet_orders(
-            inst, max_pallets=args.max_pallets)
+            inst, **_given(max_pallets=args.max_pallets))
         bin_solution = _cli.transform(inst, searched)
         pallet_solution = _cli.opening_order(inst, bin_solution)
     else:
-        places = oracles.brute_force_bin_orders(inst, max_bins=args.max_bins)
+        places = oracles.brute_force_bin_orders(inst, **_given(max_bins=args.max_bins))
         bin_solution = pallet_solution = None
     elapsed = time.perf_counter() - started
     if bin_solution is not None:
@@ -154,9 +157,9 @@ def _cmd_reduce(args) -> int:
 def _cmd_dpw(args) -> int:
     graph = _cli.parse_digraph(_read(args.digraph))
     if args.method == "subset":
-        result = _cli.dpw_exact(graph, max_vertices=args.max_vertices)
+        result = _cli.dpw_exact(graph, **_given(max_vertices=args.max_vertices))
     else:
-        result = _cli.dpw_via_stackup(graph, max_configurations=args.budget)
+        result = _cli.dpw_via_stackup(graph, **_given(max_configurations=args.budget))
     if args.dot:
         print(_cli.decomposition_to_dot(graph, result.decomposition), end="")
         return 0
@@ -175,17 +178,12 @@ def _cmd_dpw(args) -> int:
 def _cmd_gen(args) -> int:
     if args.from_digraph:
         graph = _cli.random_admissible_digraph(
-            args.vertices, max_degree=args.max_deg, seed=args.seed)
+            args.vertices, **_given(max_degree=args.max_deg, seed=args.seed))
         inst = _cli.reduce_digraph_to_queues(graph)
     else:
-        min_bins, max_bins = args.bins_per_pallet
-        spec = _cli.GenSpec(
-            pallets=args.pallets,
-            queues=args.queues,
-            min_bins=min_bins,
-            max_bins=max_bins,
-            seed=args.seed,
-        )
+        min_bins, max_bins = args.bins_per_pallet or (None, None)
+        spec = _cli.GenSpec(pallets=args.pallets, queues=args.queues,
+                            **_given(min_bins=min_bins, max_bins=max_bins, seed=args.seed))
         inst = _cli.generate_instance(spec)
     text = _cli.emit_instance(inst)
     if args.out:
@@ -278,12 +276,9 @@ def _solve_arguments(solve: argparse.ArgumentParser) -> None:
 
 def _guard_arguments(parser: argparse.ArgumentParser) -> None:
     """The guards of the solve methods, shared by ``solve`` and ``bench``."""
-    parser.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET,
-                        help="configuration-count guard for the dp method")
-    parser.add_argument("--max-pallets", type=int, default=DEFAULT_MAX_PALLETS,
-                        help="pallet guard for pallet-bf")
-    parser.add_argument("--max-bins", type=int, default=DEFAULT_MAX_BINS,
-                        help="bin guard for bin-bf")
+    parser.add_argument("--budget", type=int, help="configuration-count guard for the dp method")
+    parser.add_argument("--max-pallets", type=int, help="pallet guard for pallet-bf")
+    parser.add_argument("--max-bins", type=int, help="bin guard for bin-bf")
 
 
 def _transform_arguments(trans: argparse.ArgumentParser) -> None:
@@ -307,9 +302,8 @@ def _reduce_arguments(red: argparse.ArgumentParser) -> None:
 def _dpw_arguments(dpw: argparse.ArgumentParser) -> None:
     dpw.add_argument("digraph")
     dpw.add_argument("--method", choices=("subset", "stackup"), default="subset")
-    dpw.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
-                     help="vertex guard for the subset method")
-    dpw.add_argument("--budget", type=int, default=DEFAULT_CONFIGURATION_BUDGET,
+    dpw.add_argument("--max-vertices", type=int, help="vertex guard for the subset method")
+    dpw.add_argument("--budget", type=int,
                      help="configuration-count guard for the stackup method, which "
                           "counts 3^(arcs of the stripped digraph) configurations")
     output = dpw.add_mutually_exclusive_group()
@@ -320,14 +314,13 @@ def _dpw_arguments(dpw: argparse.ArgumentParser) -> None:
 def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--pallets", type=int, default=5)
     gen.add_argument("--queues", type=int, default=2)
-    gen.add_argument("--bins-per-pallet", type=_bin_range, default="2:3", metavar="LO:HI")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--bins-per-pallet", type=_bin_range, metavar="LO:HI")
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--from-digraph", action="store_true",
                      help="generate the queue system of a random admissible digraph")
     gen.add_argument("--vertices", type=int, default=6,
                      help="vertex count for --from-digraph")
-    gen.add_argument("--max-deg", type=int, default=3,
-                     help="in/out-degree cap for --from-digraph")
+    gen.add_argument("--max-deg", type=int, help="in/out-degree cap for --from-digraph")
     gen.add_argument("--out", help="write to a file instead of stdout")
 
 
@@ -384,6 +377,12 @@ def main(argv=None) -> int:
         return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -22,4 +22,5 @@ class InadmissibleDigraphError(ValueError):
 
 
 class InternalError(AssertionError):
-    """Raised when a solver's own witness fails its replay or certification."""
+    """Raised when a solver's own witness fails its replay or certification,
+    or its search breaks its own invariant."""

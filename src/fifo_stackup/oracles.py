@@ -32,8 +32,9 @@ from itertools import combinations
 from ._record import Record
 from .errors import BudgetError
 from .instance import Instance, PalletIndex, build_pallet_index
-from .pathwidth import DpwResult, _arc_masks, _check_vertex_budget, _ordering_result
-from .processing import DEFAULT_MAX_BINS, DEFAULT_MAX_PALLETS, DEFAULT_MAX_VERTICES, grid_size
+from .pathwidth import (DEFAULT_MAX_VERTICES, DpwResult, _arc_masks, _check_vertex_budget,
+                        _ordering_result)
+from .processing import grid_size
 from .seqgraph import Digraph, DirectedPathDecomposition
 from .solutions import PalletSolution, _Stepper
 
@@ -324,7 +325,7 @@ def _open_step(counts, removed, t) -> int:
 
 
 def brute_force_pallet_orders(
-    inst: Instance, *, max_pallets: int = DEFAULT_MAX_PALLETS
+    inst: Instance, *, max_pallets: int = 8
 ) -> tuple[int, PalletSolution]:
     """Minimum places over all pallet orders, by exhaustive search.
 
@@ -366,7 +367,7 @@ def brute_force_pallet_orders(
     return best, PalletSolution(best_order)
 
 
-def brute_force_bin_orders(inst: Instance, *, max_bins: int = DEFAULT_MAX_BINS) -> int:
+def brute_force_bin_orders(inst: Instance, *, max_bins: int = 10) -> int:
     """Minimum places over all FIFO bin orders, by exhaustive enumeration.
 
     This is the ground-truth oracle: it explores every interleaving of the

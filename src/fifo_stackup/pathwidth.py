@@ -13,12 +13,7 @@ from __future__ import annotations
 from . import seqgraph
 from ._record import Record
 from .errors import BudgetError, InternalError
-from .processing import (
-    DEFAULT_CONFIGURATION_BUDGET,
-    DEFAULT_MAX_VERTICES,
-    _minimax_order,
-    solve_min_places,
-)
+from .processing import DEFAULT_CONFIGURATION_BUDGET, _minimax_order, solve_min_places
 from .seqgraph import (
     Digraph,
     DirectedPathDecomposition,
@@ -29,6 +24,9 @@ from .seqgraph import (
 # Not called here: perfbench/spans.py still wraps this module's reference in
 # traced runs, so it stays until that hook moves (ROADMAP item 5).
 from .seqgraph import processing_to_decomposition  # noqa: F401
+
+# The vertex guard of dpw_exact and of the subset table in fifo_stackup.oracles.
+DEFAULT_MAX_VERTICES = 16
 
 
 class DpwResult(Record):
@@ -69,7 +67,10 @@ def _ordering_result(graph: Digraph, in_mask: list[int], order: list[int],
                      width: int) -> DpwResult:
     """The certified decomposition of a vertex ordering: the bag of v is v plus
     every vertex placed before it that still has an unplaced in-neighbour;
-    ``in_mask`` as from ``_arc_masks``."""
+    ``in_mask`` as from ``_arc_masks``.  An order that is no permutation of
+    the vertices is an InternalError."""
+    if sorted(order) != list(range(graph.vertex_count)):
+        raise InternalError(f"the search's vertex order is no permutation of the vertices: {order}")
     bags = []
     placed = 0
     for v in order:

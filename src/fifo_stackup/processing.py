@@ -27,18 +27,12 @@ from .instance import Instance, build_pallet_index  # noqa: F401
 from .solutions import BinSolution, PalletSolution, transform
 
 DEFAULT_CONFIGURATION_BUDGET = 50_000_000
-# Guards of the brute forces in fifo_stackup.oracles and of the subset searches
-# for directed pathwidth, kept here so the CLI can pass them as option defaults
-# without loading the oracles or pathwidth.
-DEFAULT_MAX_PALLETS = 8
-DEFAULT_MAX_BINS = 10
-DEFAULT_MAX_VERTICES = 16
 # Up to this many vertices the search marks sets in a byte table of 2^n
 # entries; above it, where zeroing the table costs more, in a dict.
 _BYTE_TABLE_MAX_VERTICES = 21
 
 
-def grid_size(inst: Instance, max_configurations: int = DEFAULT_CONFIGURATION_BUDGET) -> int:
+def grid_size(inst: Instance, max_configurations: int) -> int:
     """Number of configurations, prod(|q_i| + 1); raises BudgetError above the budget."""
     count = 1
     for seq in inst.sequences:
@@ -105,8 +99,9 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
     boundary vertices, and of those only the unplaced and boundary bits.  Any
     unplaced vertex may come next unless ``queues`` is given: then only the
     front of each queue, its first vertex not in S, may come next, and a
-    vertex outside ``start`` and every queue raises ValueError.  A queue may
-    repeat a vertex or hold ``start`` vertices; only first occurrences count.
+    vertex outside ``start`` and every queue, which only a faulty caller can
+    pass, raises InternalError.  A queue may repeat a vertex or hold
+    ``start`` vertices; only first occurrences count.
     Whether v heads a queue depends on S alone: every vertex ahead of v there
     is placed, a mask built once.  A stack entry carries the allowed mask of
     its parent and the bit v placed last, 0 at the start, which heads every
@@ -221,7 +216,7 @@ def _minimax_order(in_mask, out_mask, start=0, queues=None):
                 (stack if grown.bit_count() <= level else later).append(
                     (successor, grown, allowed, bit))
         if not later:
-            raise ValueError("a vertex outside start is in no queue")
+            raise InternalError("a vertex outside start is in no queue")
         level += 1
         stack, later = later, []
 

@@ -396,9 +396,53 @@ class TestBench:
         assert captured.err == "error: no methods given\n"
 
 
+def cycle_text(n):
+    return "".join(f"v{i} v{i % n + 1}\n" for i in range(1, n + 1))
+
+
+class TestGuardDefaults:
+    """Each guard option left out keeps the default of the function it is
+    passed to, which trips on an input just above it; given, its value
+    applies."""
+
+    CASES = {
+        # 7072^2 = 50 013 184 grid configurations
+        "solve-budget": (["solve", "--min"], "x.fsu",
+                         "seq 1:" + " a" * 7071 + "\nseq 2:" + " b" * 7071 + "\n",
+                         "more than 50000000 configurations", ["--budget", "50013184"],
+                         "min places: 1"),
+        "solve-max-pallets": (["solve", "--min", "--method", "pallet-bf"], "x.fsu",
+                              "".join(f"seq {t}: p{t} p{t}\n" for t in range(1, 10)),
+                              "9 pallets > limit 8", ["--max-pallets", "9"], "min places: 1"),
+        "solve-max-bins": (["solve", "--min", "--method", "bin-bf"], "x.fsu",
+                           "seq 1: a a a b b b c c c d d\n",
+                           "11 bins > limit 10", ["--max-bins", "11"], "min places: 1"),
+        "dpw-max-vertices": (["dpw"], "c17.digraph", cycle_text(17),
+                             "17 vertices > limit 16", ["--max-vertices", "17"], "width: 1"),
+        # 3^17 = 129 140 163 grid configurations
+        "dpw-stackup-budget": (["dpw", "--method", "stackup"], "c17.digraph", cycle_text(17),
+                               "more than 50000000 configurations", ["--budget", "129140163"],
+                               "width: 1"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_library_default_trips_and_the_option_lifts_it(self, tmp_path, case, capsys):
+        argv, name, text, message, option, answer = self.CASES[case]
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert main([*argv, *option, str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == answer
+
+
 class TestInternalFaults:
-    """A witness that fails its own replay or certification is an internal
-    fault: exit 3 and one ``internal error:`` line, never an answer."""
+    """A witness that fails its own replay or certification, a search that
+    breaks its own invariant, or an exception no handler classifies is an
+    internal fault: exit 3 and an ``internal error:`` line last, never an
+    answer."""
 
     @pytest.fixture
     def short_witness(self, monkeypatch):
@@ -499,10 +543,61 @@ class TestInternalFaults:
         assert main(["dpw", ring_digraph_path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err == ("internal error: the search's vertex order is no permutation "
+                                "of the vertices: [5, 4, 0, 1, 2, 6]\n")
+
+    @pytest.mark.parametrize("mutate", [
+        lambda order: order[:-1] + [-1],
+        lambda order: [9] + order[1:],
+    ], ids=["negative", "unknown-first"])
+    def test_dpw_with_a_search_order_that_is_no_permutation_exits_3(
+            self, monkeypatch, ring_digraph_path, mutate, capsys):
+        """The order is refused before any bag is built from it."""
+        import fifo_stackup.pathwidth as pathwidth
+
+        real = pathwidth._minimax_order
+
+        def mutated(in_mask, out_mask):
+            width, order = real(in_mask, out_mask)
+            return width, mutate(order)
+
+        monkeypatch.setattr(pathwidth, "_minimax_order", mutated)
+        assert main(["dpw", ring_digraph_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err.startswith(
-            "internal error: witness decomposition failed certification "
-            "(bags reference unknown vertex ids [6])")
+            "internal error: the search's vertex order is no permutation of the vertices: ")
         assert "Traceback" not in captured.err
+
+    def test_solve_with_a_vertex_in_no_queue_exits_3(self, monkeypatch, two_queue_path, capsys):
+        import fifo_stackup.processing as processing
+
+        real = processing._minimax_order
+
+        def dropping_a_queue(in_mask, out_mask, start, queues):
+            return real(in_mask, out_mask, start, queues[:1])
+
+        monkeypatch.setattr(processing, "_minimax_order", dropping_a_queue)
+        assert main(["solve", "--min", two_queue_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: a vertex outside start is in no queue\n"
+
+    def test_an_unclassified_exception_exits_3_with_its_traceback(
+            self, monkeypatch, two_queue_path, capsys):
+        """Exit 1 is the "no" of a decision; an exception that no handler
+        classifies is an internal fault."""
+        import fifo_stackup.processing as processing
+
+        def failing(*args):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(processing, "_minimax_order", failing)
+        assert main(["solve", "-p", "3", two_queue_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert captured.err.endswith("\ninternal error: IndexError: list index out of range\n")
 
 
 class TestMalformedInput:

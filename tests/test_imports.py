@@ -89,6 +89,12 @@ def test_cli_import_leaves_out_oracles_generators_and_dataclasses():
     assert not loaded & set(HEAVY)
 
 
+def test_cli_import_loads_only_the_cli_and_the_errors():
+    loaded, _ = probe(["import fifo_stackup.cli"])
+    assert {name for name in loaded if name.startswith("fifo_stackup")} == {
+        "fifo_stackup", "fifo_stackup.cli", "fifo_stackup.errors"}
+
+
 @pytest.mark.parametrize("argv,needs", [
     (["solve", "--min", "{path}"], ()),
     (["solve", "-p", "3", "{path}"], ()),
@@ -135,6 +141,22 @@ def test_graph_modules_load_only_for_graph_commands(tmp_path, argv, needs):
                          f"_code = main({argv!r})",
                          "assert _code == 0, _code"])
     assert {name for name in GRAPH if name in loaded} == set(needs)
+    assert out
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "{path}", "--pallets", "c,d,e,a,b"],
+    ["seqgraph", "{path}"],
+    ["reduce", "--strip", "{ring}"],
+    ["gen"],
+    ["gen", "--from-digraph"],
+], ids=["transform", "seqgraph", "reduce", "gen", "gen-from-digraph"])
+def test_commands_that_solve_nothing_load_no_solver(tmp_path, argv):
+    argv = [arg.format(**cli_files(tmp_path)) for arg in argv]
+    loaded, out = probe(["from fifo_stackup.cli import main",
+                         f"_code = main({argv!r})",
+                         "assert _code == 0, _code"])
+    assert "fifo_stackup.processing" not in loaded
     assert out
 
 
@@ -192,19 +214,16 @@ def test_one_command_parser_gives_the_same_help():
 
 def test_the_cli_takes_library_names_from_the_package():
     """cli.py names no module a public function lives in: its relative
-    imports are the exception types and the oracles from the package, or
-    option defaults from processing,
-    and each name it reads through ``_cli``, the graph functions among them,
-    is a public name and the package's own object.  ``_cli`` resolves no
-    other library name."""
+    imports are the exception types and the oracles from the package, and
+    each name it reads through ``_cli``, the graph functions among them, is a
+    public name and the package's own object.  ``_cli`` resolves no other
+    library name."""
     tree = ast.parse((SRC / "fifo_stackup" / "cli.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             names = [alias.name for alias in node.names]
-            assert (node.module is None and all(n == "oracles" or n.endswith("Error")
-                                                for n in names)) or (
-                node.module == "processing" and all(n.startswith("DEFAULT_") for n in names)
-            ), (node.module, names)
+            assert node.module is None and all(n == "oracles" or n.endswith("Error")
+                                               for n in names), (node.module, names)
         if isinstance(node, ast.Import):
             assert "importlib" not in {alias.name for alias in node.names}
     called = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)

@@ -6,6 +6,7 @@ from fifo_stackup import (
     BudgetError,
     GenSpec,
     Instance,
+    InternalError,
     SplitMix64,
     build_sequence_graph,
     dpw_exact,
@@ -422,9 +423,9 @@ class TestFrontWalk:
     def test_a_vertex_in_no_queue_is_refused(self):
         """Once the queues are empty, the search has no set left to pop and
         says so, instead of climbing levels for ever."""
-        with pytest.raises(ValueError, match="in no queue"):
+        with pytest.raises(InternalError, match="in no queue"):
             processing._minimax_order([0, 0], [0, 0], 0, [[0]])
-        with pytest.raises(ValueError, match="in no queue"):
+        with pytest.raises(InternalError, match="in no queue"):
             processing._minimax_order([0, 1, 0], [2, 0, 0], 1, [[0, 1], [0]])
 
 
