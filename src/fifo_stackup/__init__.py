@@ -1,8 +1,9 @@
 """Exact solvers for the FIFO stack-up problem and the directed pathwidth of
 its sequence graphs, graph reductions, and decomposition bridges in both
 directions.  Both exact solvers run one level-ordered minimax search over
-placed-vertex sets: stack-up over the paper's decision configurations,
-where the started pallets are placed and only front pallets may come next.
+placed-vertex sets, the internal ``fifo_stackup.search``: stack-up over the
+paper's decision configurations, where the started pallets are placed and
+only front pallets may come next.
 
 ``import fifo_stackup`` loads no submodule.  A public name, or a submodule
 such as ``fifo_stackup.processing``, is loaded on first use (PEP 562), so a

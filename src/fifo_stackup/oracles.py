@@ -32,9 +32,9 @@ from itertools import combinations
 from ._record import Record
 from .errors import BudgetError
 from .instance import Instance, PalletIndex, build_pallet_index
-from .pathwidth import (DEFAULT_MAX_VERTICES, DpwResult, _arc_masks, _check_vertex_budget,
-                        _ordering_result)
+from .pathwidth import DEFAULT_MAX_VERTICES, DpwResult, _check_vertex_budget, _ordering_result
 from .processing import grid_size
+from .search import arc_masks
 from .seqgraph import Digraph, DirectedPathDecomposition
 from .solutions import PalletSolution, _Stepper
 
@@ -420,7 +420,7 @@ def dpw_table(graph: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dp
     n = graph.vertex_count
     if n == 0:
         return DpwResult(-1, DirectedPathDecomposition(()))
-    in_mask, _ = _arc_masks(graph)
+    in_mask, _ = arc_masks(graph)
     full = (1 << n) - 1
 
     boundary_size = [0] * (full + 1)

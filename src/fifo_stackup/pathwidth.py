@@ -1,7 +1,7 @@
 """Exact directed pathwidth: a level-ordered search over placed-vertex sets,
 and the stack-up route.
 
-``dpw_exact`` runs the minimax search of ``processing._minimax_order`` on the
+``dpw_exact`` runs the minimax search of ``search.minimax_order`` on the
 digraph itself; ``dpw_via_stackup`` reduces it to a queue system and runs
 ``solve_min_places``, the same search restricted to front pallets.  The
 independent checks, the subset-table dynamic program and the definitional
@@ -13,7 +13,8 @@ from __future__ import annotations
 from . import seqgraph
 from ._record import Record
 from .errors import BudgetError, InternalError
-from .processing import DEFAULT_CONFIGURATION_BUDGET, _minimax_order, solve_min_places
+from .processing import DEFAULT_CONFIGURATION_BUDGET, solve_min_places
+from .search import arc_masks, minimax_order
 from .seqgraph import (
     Digraph,
     DirectedPathDecomposition,
@@ -53,22 +54,12 @@ def _check_vertex_budget(graph: Digraph, max_vertices: int) -> None:
         raise BudgetError(f"vertex budget exceeded: {n} vertices > limit {max_vertices}")
 
 
-def _arc_masks(graph: Digraph) -> tuple[list[int], list[int]]:
-    """Bitmasks of the in-neighbours and of the out-neighbours of each vertex."""
-    in_mask = [0] * graph.vertex_count
-    out_mask = [0] * graph.vertex_count
-    for u, v in graph.arcs:
-        in_mask[v] |= 1 << u
-        out_mask[u] |= 1 << v
-    return in_mask, out_mask
-
-
 def _ordering_result(graph: Digraph, in_mask: list[int], order: list[int],
                      width: int) -> DpwResult:
     """The certified decomposition of a vertex ordering: the bag of v is v plus
     every vertex placed before it that still has an unplaced in-neighbour;
-    ``in_mask`` as from ``_arc_masks``.  An order that is no permutation of
-    the vertices is an InternalError."""
+    ``in_mask`` as from ``search.arc_masks``.  An order that is no
+    permutation of the vertices is an InternalError."""
     if sorted(order) != list(range(graph.vertex_count)):
         raise InternalError(f"the search's vertex order is no permutation of the vertices: {order}")
     bags = []
@@ -96,14 +87,14 @@ def dpw_exact(graph: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dp
     the bag opened for the next vertex after the placed set S is that vertex
     plus the boundary b(S), the placed vertices that still have an unplaced
     in-neighbour.  The width is the least, over orderings, of the largest
-    |b(S)| over the prefixes S, which ``processing._minimax_order`` finds
+    |b(S)| over the prefixes S, which ``search.minimax_order`` finds
     with every vertex allowed at every step.  The characterization itself is
     not taken on faith: the tests check it against the definitional
     bag-sequence search.
     """
     _check_vertex_budget(graph, max_vertices)
-    in_mask, out_mask = _arc_masks(graph)
-    width, order = _minimax_order(in_mask, out_mask)
+    in_mask, out_mask = arc_masks(graph)
+    width, order = minimax_order(in_mask, out_mask)
     return _ordering_result(graph, in_mask, order, width)
 
 

@@ -1,0 +1,215 @@
+"""The level search both exact solvers run, and its input encoding.
+
+``minimax_order`` is the search; its docstring states its rules and proves
+them, and ``start_level`` is the lower bound it starts at.  ``arc_masks``
+encodes a digraph as the masks the search reads.  ``pathwidth.dpw_exact``
+runs the search on a digraph; ``processing.solve_min_places`` runs it on a
+sequence graph, restricted to front pallets.
+
+This module is internal, like ``fifo_stackup.oracles``: it is not in the
+package namespace, and is imported as ``fifo_stackup.search``.
+"""
+
+from __future__ import annotations
+
+from .errors import InternalError
+
+# Up to this many vertices the search marks sets in a byte table of 2^n
+# entries; above it, where zeroing the table costs more, in a dict.
+BYTE_TABLE_MAX_VERTICES = 21
+
+
+def arc_masks(graph) -> tuple[list[int], list[int]]:
+    """Bitmasks of the in-neighbours and of the out-neighbours of each vertex;
+    ``graph`` needs only ``vertex_count`` and ``arcs``."""
+    in_mask = [0] * graph.vertex_count
+    out_mask = [0] * graph.vertex_count
+    for u, v in graph.arcs:
+        in_mask[v] |= 1 << u
+        out_mask[u] |= 1 << v
+    return in_mask, out_mask
+
+
+def minimax_order(in_mask, out_mask, start=0, queues=None):
+    """The least peak of |b(S)| over the vertex orders that place ``start``
+    first, and the rest of one such order.
+
+    ``in_mask[v]`` and ``out_mask[v]`` are the bitmasks of the in- and
+    out-neighbours of vertex v.  The boundary b(S) holds the placed vertices
+    outside ``start`` with an unplaced in-neighbour, so b(start) is empty;
+    the peak of an order is the largest |b(S)| over its prefixes S before the
+    last vertex, or -1 when no vertex is left to place.  The masks may name
+    vertices of ``start``: the search reads only the masks of unplaced and
+    boundary vertices, and of those only the unplaced and boundary bits.  Any
+    unplaced vertex may come next unless ``queues`` is given: then only the
+    front of each queue, its first vertex not in S, may come next, and a
+    vertex outside ``start`` and every queue, which only a faulty caller can
+    pass, raises InternalError.  A queue may repeat a vertex or hold
+    ``start`` vertices; only first occurrences count.
+    Whether v heads a queue depends on S alone: every vertex ahead of v there
+    is placed, a mask built once.  A stack entry carries the allowed mask of
+    its parent and the bit v placed last, 0 at the start, which heads every
+    queue; at its pop v leaves the mask, and each queue v headed adds its
+    next unplaced vertex.
+
+    A minimax search over the sets S, with b(S) carried as a bitmask.
+    Placing v adds v unless in(v) is within S + v, and drops each u of
+    out(v) & b(S) with in(u) within S + v; a step reads only out(v) & b(S),
+    as no other u loses an unplaced in-neighbour.  The cost of S is
+    |b(S)|.  Levels are costs, visited in increasing order from a start level
+    that no order can beat, the bound below.  Sets whose cost is at most the
+    level go on a stack.  As b(S + v) is within b(S) + v, a step raises the
+    cost by at most one, so a costlier set costs level + 1 and waits in one
+    list, the next level's stack.  A cost that can rise more per step, such
+    as one raised to a per-set bound like the least out-degree of an
+    unplaced vertex, h(S), would need a list per cost (Dial's buckets) again.
+    A successor already seen is skipped before its boundary is computed.  One
+    table, holding 1 + the vertex placed last, is both the seen mark and the
+    witness link.  The search is exact because a set's cost depends on the
+    set alone: every path to S has a peak of at least |b(S)|, so skipping S
+    when it is seen again loses no cheaper path to it.
+
+    Free moves: when placing v does not grow the boundary, |b(S + v)| <=
+    |b(S)|, v is the only successor expanded from S.  This is sound because b
+    is submodular.  For S within X and v not in X, placing v changes |b(X)| by
+    D(X, v) = [in(v) not within X + v] - |{u in X - start : in(u) - X = {v}}|,
+    whose first term can only fall and whose set can only grow as X grows, so
+    D(X, v) <= D(S, v) <= 0.  Moving v forward to directly after S therefore
+    never raises a later prefix, and some optimal ordering places v next.
+    This holds under the restriction too: a front stays a front while other
+    vertices are placed, so placing v early disallows no vertex.
+
+    The start level.  Let H be a set of unplaced vertices, and take any order.
+    Let v be the last vertex of H placed, and w the vertex of H placed just
+    before v.  Just before v, each out-neighbour of v in H is placed and waits
+    on v, so the peak is at least d(v) = |out(v) & H|.  Just before w, each
+    vertex of H - v - w is placed, and those in out(v) or out(w) wait on v or
+    w, so the peak is at least |(out(v) | out(w)) & (H - v - w)|; v must be
+    dropped too, because out(w) may hold v.  So the peak is at least the
+    least, over v in H, of max(d(v), the least such pair count over w), which
+    is at least the least d(v) (the degeneracy bound).  Both arguments hold
+    for every order, so also under the front restriction.  ``start_level``
+    takes the bound along a peel chain: H starts as every unplaced vertex,
+    and the vertices with at most the level's out-neighbours in H leave it
+    after each bound, until H has fewer than level + 2 vertices and cannot
+    raise the level.  A search that starts at a bound still returns the
+    least peak, and skips the levels where it would only prove that no order
+    is better.
+    """
+    n = len(in_mask)
+    full = (1 << n) - 1
+    if start == full:
+        return -1, []
+    # per bit placed last (0 at the start), one triple per queue that holds
+    # it: the bits ahead of it, the queue's first occurrences between two 0s,
+    # the index after it
+    fronts = {bit: [] for bit in [0] + [1 << v for v in range(n)]}
+    for queue in queues or ():
+        bits = [0] + [1 << v for v in dict.fromkeys(queue)] + [0]
+        ahead = 0
+        for p, bit in enumerate(bits[:-1], 1):
+            fronts[bit].append((ahead, bits, p))
+            ahead |= bit
+    # 1 + the vertex placed last; 0 while unseen
+    last = bytearray(1 << n) if n <= BYTE_TABLE_MAX_VERTICES else _Links()
+    level = start_level(out_mask, full ^ start)
+    # (S, b(S), the parent's allowed mask, the bit placed last)
+    stack = [(start, 0, full ^ start if queues is None else 0, 0)]
+    later = []  # the sets that cost level + 1
+    while True:
+        while stack:
+            placed, boundary, allowed, bit = stack.pop()
+            unplaced = full ^ placed
+            allowed ^= bit
+            for ahead, bits, p in fronts[bit]:
+                if not ahead & unplaced:
+                    while placed & bits[p]:
+                        p += 1
+                    allowed |= bits[p]
+            size = boundary.bit_count()
+            moves = []
+            rest = allowed
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                successor = placed | bit
+                if last[successor]:
+                    continue
+                v = bit.bit_length() - 1
+                grown = boundary | bit if in_mask[v] & unplaced else boundary
+                near = out_mask[v] & boundary
+                while near:
+                    low = near & -near
+                    near ^= low
+                    if not in_mask[low.bit_length() - 1] & (unplaced ^ bit):
+                        grown ^= low
+                if grown.bit_count() <= size:
+                    moves = [(bit, successor, grown)]  # a free move: expand it alone
+                    break
+                moves.append((bit, successor, grown))
+            for bit, successor, grown in moves:
+                last[successor] = bit.bit_length()
+                if successor == full:
+                    order = []
+                    while successor != start:
+                        v = last[successor] - 1
+                        order.append(v)
+                        successor ^= 1 << v
+                    order.reverse()
+                    return level, order
+                (stack if grown.bit_count() <= level else later).append(
+                    (successor, grown, allowed, bit))
+        if not later:
+            raise InternalError("a vertex outside start is in no queue")
+        level += 1
+        stack, later = later, []
+
+
+def start_level(out_mask, unplaced):
+    """The level ``minimax_order`` starts at: the two-vertex bound of its
+    docstring over the sets H of a peel chain from ``unplaced``."""
+    level = 0
+    group = unplaced
+    while group.bit_count() >= level + 2:
+        # (degree in H, bit, out-neighbours in H), least degree first, so that
+        # the w that fails a pair is met early
+        rows = []
+        rest = group
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            near = out_mask[bit.bit_length() - 1] & group
+            rows.append((near.bit_count(), bit, near))
+        rows.sort()
+        # the least over v of max(d(v), the least pair count of v and a w),
+        # or at most the level when that is no gain
+        best = len(rows)
+        for degree, v, near in rows:
+            if degree >= best:
+                break
+            floor = degree if degree > level else level
+            low = best
+            for _, w, other in rows:
+                if w != v:
+                    size = ((near | other) & ~(v | w)).bit_count()
+                    if size < low:
+                        low = size
+                        if low <= floor:
+                            break
+            best = low if low > degree else degree
+            if best <= level:
+                break
+        if best > level:
+            level = best
+        for degree, bit, _ in rows:
+            if degree > level:
+                break
+            group ^= bit
+    return level
+
+
+class _Links(dict):
+    """The link table above the byte-table size: a set not stored reads 0."""
+
+    def __missing__(self, key):
+        return 0

@@ -515,13 +515,13 @@ class TestInternalFaults:
             self, monkeypatch, two_queue_path, mutate, message, capsys):
         import fifo_stackup.processing as processing
 
-        real = processing._minimax_order
+        real = processing.minimax_order
 
         def mutated(*args):
             peak, order = real(*args)
             return peak, mutate(order)
 
-        monkeypatch.setattr(processing, "_minimax_order", mutated)
+        monkeypatch.setattr(processing, "minimax_order", mutated)
         assert main(["solve", "--min", two_queue_path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -533,13 +533,13 @@ class TestInternalFaults:
             self, monkeypatch, ring_digraph_path, capsys):
         import fifo_stackup.pathwidth as pathwidth
 
-        real = pathwidth._minimax_order
+        real = pathwidth.minimax_order
 
         def out_of_range(in_mask, out_mask):
             width, order = real(in_mask, out_mask)
             return width, order[:-1] + [len(in_mask)]
 
-        monkeypatch.setattr(pathwidth, "_minimax_order", out_of_range)
+        monkeypatch.setattr(pathwidth, "minimax_order", out_of_range)
         assert main(["dpw", ring_digraph_path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -555,13 +555,13 @@ class TestInternalFaults:
         """The order is refused before any bag is built from it."""
         import fifo_stackup.pathwidth as pathwidth
 
-        real = pathwidth._minimax_order
+        real = pathwidth.minimax_order
 
         def mutated(in_mask, out_mask):
             width, order = real(in_mask, out_mask)
             return width, mutate(order)
 
-        monkeypatch.setattr(pathwidth, "_minimax_order", mutated)
+        monkeypatch.setattr(pathwidth, "minimax_order", mutated)
         assert main(["dpw", ring_digraph_path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -572,12 +572,12 @@ class TestInternalFaults:
     def test_solve_with_a_vertex_in_no_queue_exits_3(self, monkeypatch, two_queue_path, capsys):
         import fifo_stackup.processing as processing
 
-        real = processing._minimax_order
+        real = processing.minimax_order
 
         def dropping_a_queue(in_mask, out_mask, start, queues):
             return real(in_mask, out_mask, start, queues[:1])
 
-        monkeypatch.setattr(processing, "_minimax_order", dropping_a_queue)
+        monkeypatch.setattr(processing, "minimax_order", dropping_a_queue)
         assert main(["solve", "--min", two_queue_path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -592,7 +592,7 @@ class TestInternalFaults:
         def failing(*args):
             raise IndexError("list index out of range")
 
-        monkeypatch.setattr(processing, "_minimax_order", failing)
+        monkeypatch.setattr(processing, "minimax_order", failing)
         assert main(["solve", "-p", "3", two_queue_path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -156,8 +156,43 @@ def test_commands_that_solve_nothing_load_no_solver(tmp_path, argv):
     loaded, out = probe(["from fifo_stackup.cli import main",
                          f"_code = main({argv!r})",
                          "assert _code == 0, _code"])
-    assert "fifo_stackup.processing" not in loaded
+    assert not loaded & {"fifo_stackup.processing", "fifo_stackup.search"}
     assert out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--min", "{path}"],
+    ["solve", "-p", "3", "{path}"],
+    ["dpw", "{ring}"],
+    ["dpw", "--method", "stackup", "{ring}"],
+], ids=["solve", "decide", "dpw-subset", "dpw-stackup"])
+def test_the_solvers_load_the_search(tmp_path, argv):
+    argv = [arg.format(**cli_files(tmp_path)) for arg in argv]
+    loaded, _ = probe(["from fifo_stackup.cli import main",
+                       f"_code = main({argv!r})",
+                       "assert _code == 0, _code"])
+    assert "fifo_stackup.search" in loaded
+
+
+def test_the_search_loads_only_the_errors():
+    loaded, _ = probe(["import fifo_stackup.search"])
+    assert {name for name in loaded if name.startswith("fifo_stackup")} == {
+        "fifo_stackup", "fifo_stackup.errors", "fifo_stackup.search"}
+    assert "search" not in fifo_stackup._EXPORTS
+
+
+def test_no_module_imports_a_siblings_private_name():
+    """A module takes from a sibling only its public names; the oracles, the
+    checker, may take private ones."""
+    taken = []
+    for path in sorted((SRC / "fifo_stackup").glob("*.py")):
+        if path.stem == "oracles":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                taken += [(path.stem, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    assert taken == []
 
 
 CLI_REFERENCE_ARGV = {

@@ -15,12 +15,8 @@ from fifo_stackup import (
     validate_decomposition,
 )
 from fifo_stackup.oracles import dpw_brute_force, dpw_table, search_decomposition_by_bags
-from fifo_stackup.pathwidth import _arc_masks
-from fifo_stackup.processing import (
-    _BYTE_TABLE_MAX_VERTICES,
-    DEFAULT_CONFIGURATION_BUDGET,
-    _start_level,
-)
+from fifo_stackup.processing import DEFAULT_CONFIGURATION_BUDGET
+from fifo_stackup.search import BYTE_TABLE_MAX_VERTICES, arc_masks, start_level
 
 from conftest import random_digraph, sym_clique, sym_cycle, sym_path
 
@@ -116,7 +112,7 @@ class TestLevelSearch:
         of it against each other, not against an independent oracle:
         ``dpw_table`` would enumerate 4·10^6 subsets at 22 vertices."""
         graph = random_admissible_digraph(n, seed=seed)
-        assert graph.vertex_count > _BYTE_TABLE_MAX_VERTICES
+        assert graph.vertex_count > BYTE_TABLE_MAX_VERTICES
         exact = dpw_exact(graph, max_vertices=n)
         stackup = dpw_via_stackup(graph, max_configurations=10**40)
         assert exact.width == stackup.width == width
@@ -170,8 +166,8 @@ class TestStartLevel:
 
     @staticmethod
     def bound(graph):
-        _, out_mask = _arc_masks(graph)
-        return _start_level(out_mask, (1 << graph.vertex_count) - 1)
+        _, out_mask = arc_masks(graph)
+        return start_level(out_mask, (1 << graph.vertex_count) - 1)
 
     @pytest.mark.parametrize("percent", [5, 20, 35, 50, 65, 80, 95, 100])
     def test_never_above_the_width(self, percent):

@@ -15,7 +15,7 @@ from fifo_stackup import (
     replay,
     solve_min_places,
 )
-from fifo_stackup import processing
+from fifo_stackup import processing, search
 from fifo_stackup.instance import build_pallet_index
 from fifo_stackup.oracles import (
     MAX_GRID_CONFIGURATIONS,
@@ -28,8 +28,8 @@ from fifo_stackup.oracles import (
     prune_priority,
     val_threshold_oracle,
 )
-from fifo_stackup.pathwidth import _arc_masks
-from fifo_stackup.processing import _BYTE_TABLE_MAX_VERTICES, grid_size
+from fifo_stackup.processing import grid_size
+from fifo_stackup.search import BYTE_TABLE_MAX_VERTICES, arc_masks
 
 from conftest import random_dag, random_digraph, random_fifo_order, small_instance
 
@@ -309,13 +309,13 @@ class TestDecisionSearch:
         """The search gets the sequence graph's own masks, the one-bin pallets
         as ``start``, and the instance's own queues."""
         calls = []
-        real = processing._minimax_order
+        real = processing.minimax_order
 
         def spying(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(processing, "_minimax_order", spying)
+        monkeypatch.setattr(processing, "minimax_order", spying)
         with_single_bins = 0
         for seed in range(240):
             inst = crosscheck_instance(seed)
@@ -323,7 +323,7 @@ class TestDecisionSearch:
             solve_min_places(inst)
             [(in_mask, out_mask, start, queues)] = calls
             singles = {t for t, count in enumerate(inst.bin_counts()) if count == 1}
-            assert (in_mask, out_mask) == _arc_masks(build_sequence_graph(inst)), seed
+            assert (in_mask, out_mask) == arc_masks(build_sequence_graph(inst)), seed
             assert start == sum(1 << t for t in singles), seed
             assert queues is inst.sequences, seed
             with_single_bins += bool(singles)
@@ -338,11 +338,11 @@ class TestDecisionSearch:
         for seed in range(240):
             inst = crosscheck_instance(seed)
             singles = {t for t, count in enumerate(inst.bin_counts()) if count == 1}
-            masks = _arc_masks(build_sequence_graph(inst))
+            masks = arc_masks(build_sequence_graph(inst))
             start = sum(1 << t for t in singles)
             lists = [[t for t in dict.fromkeys(seq) if t not in singles] for seq in inst.sequences]
-            assert (processing._minimax_order(*masks, start, inst.sequences)
-                    == processing._minimax_order(*masks, start, lists)), seed
+            assert (search.minimax_order(*masks, start, inst.sequences)
+                    == search.minimax_order(*masks, start, lists)), seed
             headed_by_single_bins += any(seq[0] in singles for seq in inst.sequences)
         assert headed_by_single_bins >= 40
 
@@ -363,7 +363,7 @@ class TestDecisionSearch:
         spec = GenSpec(pallets=23 + rng.below(18), queues=1 + seed % 3,
                        min_bins=1 + seed // 3 % 2, max_bins=3, seed=seed)
         inst = generate_instance(spec)
-        assert inst.m > _BYTE_TABLE_MAX_VERTICES
+        assert inst.m > BYTE_TABLE_MAX_VERTICES
         places, bin_solution, pallet_solution = solve_min_places(inst)
         assert places == opt_bottleneck(ConfigurationDag(inst)).value
         report = replay(inst, bin_solution)
@@ -424,9 +424,9 @@ class TestFrontWalk:
         """Once the queues are empty, the search has no set left to pop and
         says so, instead of climbing levels for ever."""
         with pytest.raises(InternalError, match="in no queue"):
-            processing._minimax_order([0, 0], [0, 0], 0, [[0]])
+            search.minimax_order([0, 0], [0, 0], 0, [[0]])
         with pytest.raises(InternalError, match="in no queue"):
-            processing._minimax_order([0, 1, 0], [2, 0, 0], 1, [[0, 1], [0]])
+            search.minimax_order([0, 1, 0], [2, 0, 0], 1, [[0, 1], [0]])
 
 
 class TestPrunePriority:
@@ -479,19 +479,19 @@ class TestPrunePriority:
 
 class TestStartLevel:
     """The search starts at a lower bound on the peak, given by
-    ``processing._start_level``; a bound that is too high would make the
+    ``search.start_level``; a bound that is too high would make the
     answer wrong, so it is checked against the grid DP."""
 
     @staticmethod
     def record_bounds(monkeypatch):
         bounds = []
-        real = processing._start_level
+        real = search.start_level
 
         def recording(*args):
             bounds.append(real(*args))
             return bounds[-1]
 
-        monkeypatch.setattr(processing, "_start_level", recording)
+        monkeypatch.setattr(search, "start_level", recording)
         return bounds
 
     def test_never_above_the_grid_dp(self, monkeypatch):
@@ -512,19 +512,29 @@ class TestStartLevel:
         """The start level meets the optimum on most inputs; started at 0,
         the search climbs every level, one waiting list at a time, and must
         still agree with the grid DP and the subset table."""
-        monkeypatch.setattr(processing, "_start_level", lambda *args: 0)
+        calls = []
+
+        def from_zero(*args):
+            calls.append(args)
+            return 0
+
+        monkeypatch.setattr(search, "start_level", from_zero)
         for seed in range(240):
             inst = crosscheck_instance(seed)
+            del calls[:]
             places, bin_solution, _ = solve_min_places(inst)
             assert places == opt_bottleneck(ConfigurationDag(inst)).value
             report = replay(inst, bin_solution)
             assert report.valid and report.max_open == places
+            assert len(calls) == any(count > 1 for count in inst.bin_counts()), seed
         for percent in (5, 20, 35, 50, 65, 80, 95, 100):
             rng = SplitMix64(percent * 173 + 5)
             for n in range(2, 12):
                 for _ in range(3):
                     graph = random_digraph(rng, n, percent)
+                    del calls[:]
                     assert dpw_exact(graph).width == dpw_table(graph).width
+                    assert len(calls) == 1
 
     def test_a_bound_one_too_high_is_caught(self, monkeypatch):
         """Where the bound meets the optimum, one more makes the solver
@@ -538,8 +548,8 @@ class TestStartLevel:
             if bounds == [places - 1]:
                 cases.append((inst, opt_bottleneck(ConfigurationDag(inst)).value))
         assert len(cases) >= 40
-        real = processing._start_level
-        monkeypatch.setattr(processing, "_start_level", lambda *args: real(*args) + 1)
+        real = search.start_level
+        monkeypatch.setattr(search, "start_level", lambda *args: real(*args) + 1)
         for inst, optimum in cases:
             places, bin_solution, _ = solve_min_places(inst)
             report = replay(inst, bin_solution)
