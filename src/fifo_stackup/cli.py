@@ -3,7 +3,8 @@
 Exit codes: 0 for yes/success, 1 for a negative decision answer, 2 for any
 error (parse failures, budget guards, inadmissible inputs), 3 for an internal
 fault (a solver's witness that fails its replay or certification, or an
-exception no handler classifies).
+exception no handler classifies), 141 (128 + SIGPIPE) when the reader closed
+stdout before the output was written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -219,33 +221,28 @@ def _cmd_bench(args) -> int:
     errors = []
     internal = False
     for path in corpus:
+        unreadable = None
         try:
             inst = _cli.parse_instance(_read(path))
         except (InstanceFormatError, UnicodeDecodeError, OSError) as exc:
+            unreadable = f"error: {exc}"
             errors.append(f"could not read {path.name}: {exc}")
-            rows.extend({"instance": path.name, "method": method, "value": None,
-                         "time_seconds": 0.0, "status": f"error: {exc}"}
-                        for method in methods)
-            continue
         values = {}
         for method in methods:
-            try:
-                report = _run_method(inst, path.name, method, args)
-                value, seconds, status = report["min_places"], report["time_seconds"], "ok"
-                values[method] = value
-            except BudgetError as exc:
-                value, seconds, status = None, 0.0, f"skipped: {exc}"
-            except InternalError as exc:
-                value, seconds, status = None, 0.0, f"error: internal error: {exc}"
-                errors.append(f"internal error on {path.name} by {method}: {exc}")
-                internal = True
-            rows.append({
-                "instance": path.name,
-                "method": method,
-                "value": value,
-                "time_seconds": round(seconds, 6),
-                "status": status,
-            })
+            value, seconds, status = None, 0.0, unreadable
+            if unreadable is None:
+                try:
+                    report = _run_method(inst, path.name, method, args)
+                    value, seconds, status = report["min_places"], report["time_seconds"], "ok"
+                    values[method] = value
+                except BudgetError as exc:
+                    status = f"skipped: {exc}"
+                except InternalError as exc:
+                    status = f"error: internal error: {exc}"
+                    errors.append(f"internal error on {path.name} by {method}: {exc}")
+                    internal = True
+            rows.append({"instance": path.name, "method": method, "value": value,
+                         "time_seconds": round(seconds, 6), "status": status})
         if len(set(values.values())) > 1:
             errors.append(f"methods disagree on {path.name}: {values}")
     if args.json:
@@ -253,12 +250,9 @@ def _cmd_bench(args) -> int:
     else:
         import csv
 
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["instance", "method", "value", "time_seconds", "status"])
-        for row in rows:
-            writer.writerow([row["instance"], row["method"],
-                             "" if row["value"] is None else row["value"],
-                             row["time_seconds"], row["status"]])
+        writer = csv.DictWriter(sys.stdout, ["instance", "method", "value", "time_seconds", "status"])
+        writer.writeheader()
+        writer.writerows(rows)
     for line in errors:
         print(f"error: {line}", file=sys.stderr)
     return 3 if internal else 2 if errors else 0
@@ -371,7 +365,14 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return COMMANDS[args.command][2](args)
+        code = COMMANDS[args.command][2](args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader is gone: exit as a writer killed by SIGPIPE does, and let the
+        # interpreter's last flush write what is left to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (BudgetError, TransformStuckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

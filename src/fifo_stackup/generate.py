@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from ._record import Record
 from .instance import Instance
-from .seqgraph import Digraph
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,6 +97,8 @@ def random_admissible_digraph(
     A random permutation cycle guarantees admissibility; further random arcs
     are then added while respecting the degree cap.
     """
+    from .seqgraph import Digraph  # here, so that generate_instance loads no graph module
+
     if vertices < 2:
         raise ValueError("need at least two vertices for a loop-free admissible digraph")
     if max_degree < 1:

@@ -63,10 +63,6 @@ class Digraph(Record):
             indeg[v] += 1
         return indeg, outdeg
 
-    def same_graph(self, other: "Digraph") -> bool:
-        """Structural equality by vertex names, ignoring index assignment."""
-        return set(self.names) == set(other.names) and self.arc_names() == other.arc_names()
-
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the digraph text format: one ``<u> <v>`` arc per line, isolated
@@ -149,15 +145,6 @@ class DirectedPathDecomposition(Record):
                 alpha.setdefault(v, i)
                 beta[v] = i
         return alpha, beta
-
-    def normalized(self) -> "DirectedPathDecomposition":
-        """Drop empty bags and merge equal adjacent bags; width is unchanged."""
-        bags: list[frozenset[int]] = []
-        for bag in self.bags:
-            if not bag or (bags and bags[-1] == bag):
-                continue
-            bags.append(bag)
-        return DirectedPathDecomposition(tuple(bags))
 
 
 class DecompositionCheck(Record):

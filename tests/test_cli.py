@@ -600,6 +600,38 @@ class TestInternalFaults:
         assert captured.err.endswith("\ninternal error: IndexError: list index out of range\n")
 
 
+class TestClosedStdout:
+    """A reader that closed the pipe before the CLI wrote is no input error:
+    the CLI exits 141 (128 + SIGPIPE), as a writer killed by SIGPIPE does,
+    and prints nothing to stderr, whether its stdout is buffered or not."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--min", "{path}"],
+        ["solve", "--min", "--json", "{path}"],
+        ["seqgraph", "{path}"],
+        ["dpw", "--json", "{ring}"],
+        ["gen"],
+        ["bench", "{corpus}"],
+    ], ids=["solve", "solve-json", "seqgraph", "dpw-json", "gen", "bench"])
+    def test_exits_141_in_silence(self, two_queue_path, ring_digraph_path, argv, buffered):
+        files = {"path": two_queue_path, "ring": ring_digraph_path,
+                 "corpus": str(Path(two_queue_path).parent)}
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "fifo_stackup.cli", *(a.format(**files) for a in argv)],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, "")
+
+
 class TestMalformedInput:
     """Seeded texts from a token alphabet, run through every reading command:
     each ends in exit 0, 1 or 2, and exit 2 ends stderr with its one

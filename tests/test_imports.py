@@ -160,6 +160,23 @@ def test_commands_that_solve_nothing_load_no_solver(tmp_path, argv):
     assert out
 
 
+@pytest.mark.parametrize("argv,graph", [
+    (["gen"], False),
+    (["gen", "--pallets", "7", "--queues", "3", "--bins-per-pallet", "1:4", "--seed", "5"], False),
+    (["gen", "--from-digraph", "--seed", "2"], True),
+], ids=["gen", "gen-options", "gen-from-digraph"])
+def test_gen_loads_the_graph_modules_only_from_a_digraph(argv, graph):
+    """Generating an instance runs no graph code, so it loads neither the
+    sequence-graph module nor the solutions module that one imports;
+    ``--from-digraph`` loads both and still runs."""
+    loaded, out = probe(["from fifo_stackup.cli import main",
+                         f"_code = main({argv!r})",
+                         "assert _code == 0, _code"])
+    modules = {"fifo_stackup.seqgraph", "fifo_stackup.solutions"}
+    assert loaded & modules == (modules if graph else set())
+    assert out.startswith("seq 1: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--min", "{path}"],
     ["solve", "-p", "3", "{path}"],
