@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("BudgetError", "DigraphFormatError", "InadmissibleDigraphError",
                "InstanceFormatError", "InternalError", "TransformStuckError"),
-    "instance": ("Instance", "ValidationReport", "emit_instance", "parse_instance", "validate"),
+    "instance": ("Instance", "emit_instance", "parse_instance"),
     "processing": ("solve_min_places",),
     "solutions": ("BinSolution", "PalletSolution", "ReplayReport", "open_set_trace",
                   "opening_order", "replay", "transform"),

@@ -192,9 +192,11 @@ def _cmd_gen(args) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
-    report = _cli.validate(inst)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    # a one-bin pallet is legal, but it can never be open: flag it, do not reject it
+    for symbol, count in zip(inst.symbols, inst.bin_counts()):
+        if count == 1:
+            print(f"warning: pallet {symbol} has only one bin and can never be open",
+                  file=sys.stderr)
     return 0
 
 
@@ -363,11 +365,14 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     # an argv that does not start with a command (--help, nothing, a bad name) gets every command
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
     try:
-        code = COMMANDS[args.command][2](args)
-        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
-        return code
+        try:
+            args = build_parser(command).parse_args(argv)
+            return COMMANDS[args.command][2](args)
+        finally:
+            # a closed stdout raises here, not in the interpreter's last flush,
+            # also after argparse's --help and usage exits
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: exit as a writer killed by SIGPIPE does, and let the
         # interpreter's last flush write what is left to the null device

@@ -159,24 +159,3 @@ def build_pallet_index(inst: Instance) -> PalletIndex:
             last[t][i] = pos
     return PalletIndex(tuple(map(tuple, first)), tuple(map(tuple, last)))
 
-
-class ValidationReport(Record):
-    k: int
-    m: int
-    n: int
-    N: int
-    single_bin_pallets: tuple[str, ...]
-    warnings: tuple[str, ...]
-
-
-def validate(inst: Instance) -> ValidationReport:
-    """Report instance statistics and warn about pallets with a single bin.
-
-    Single-bin pallets are legal but can never be open, so they are flagged
-    rather than rejected.
-    """
-    counts = inst.bin_counts()
-    singles = tuple(inst.symbols[t] for t in range(inst.m) if counts[t] == 1)
-    warnings = tuple(
-        f"pallet {sym} has only one bin and can never be open" for sym in singles)
-    return ValidationReport(inst.k, inst.m, inst.n, inst.N, singles, warnings)

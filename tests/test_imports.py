@@ -47,13 +47,13 @@ PUBLIC = {
     "DigraphFormatError", "DirectedPathDecomposition", "DpwResult", "GenSpec",
     "InadmissibleDigraphError", "Instance", "InstanceFormatError", "InternalError",
     "PalletSolution", "ReplayReport", "SplitMix64", "TransformStuckError",
-    "ValidationReport", "admissibility_violations",
+    "admissibility_violations",
     "build_sequence_graph", "decomposition_to_dot", "decomposition_to_processing",
     "digraph_to_dot", "dpw_exact", "dpw_via_stackup", "emit_digraph", "emit_instance",
     "generate_instance", "open_set_trace", "opening_order",
     "parse_digraph", "parse_instance", "processing_to_decomposition",
     "random_admissible_digraph", "reduce_digraph_to_queues", "replay", "solve_min_places",
-    "strip_endpoints", "transform", "validate", "validate_decomposition",
+    "strip_endpoints", "transform", "validate_decomposition",
 }
 
 # The grid-configuration view: only the oracles use it.

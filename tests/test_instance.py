@@ -5,7 +5,6 @@ from fifo_stackup import (
     InstanceFormatError,
     emit_instance,
     parse_instance,
-    validate,
 )
 from fifo_stackup.instance import build_pallet_index
 from fifo_stackup.oracles import cut
@@ -125,25 +124,6 @@ class TestPalletIndex:
                     assert 1 <= idx.first[t][i] <= idx.last[t][i] <= len(seq)
 
 
-class TestValidate:
-    def test_no_warnings(self, two_queue_instance):
-        report = validate(two_queue_instance)
-        assert report.warnings == ()
-        assert (report.k, report.m, report.n, report.N) == (2, 5, 12, 8)
-
-    def test_single_bin_warning(self):
-        inst = Instance.from_pallet_lists([["a", "b", "a"]])
-        report = validate(inst)
-        assert report.single_bin_pallets == ("b",)
-        assert len(report.warnings) == 1
-
-    def test_reduced_queue_systems_have_no_warnings(self, ring_digraph):
-        from fifo_stackup import reduce_digraph_to_queues
-
-        inst = reduce_digraph_to_queues(ring_digraph)
-        assert validate(inst).warnings == ()
-
-
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(30))
     def test_cut_subset_and_single_bin_exclusion(self, seed):
@@ -209,3 +189,8 @@ class TestBinCounts:
     def test_unused_symbol_still_rejected(self, sequences, symbols):
         with pytest.raises(ValueError, match="every pallet symbol must label at least one bin"):
             Instance(sequences, symbols)
+
+    def test_reduced_queue_systems_have_no_single_bin_pallets(self, ring_digraph):
+        from fifo_stackup import reduce_digraph_to_queues
+
+        assert min(reduce_digraph_to_queues(ring_digraph).bin_counts()) >= 2

@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from fifo_stackup.generate import GenSpec
-from fifo_stackup.instance import Instance, PalletIndex, ValidationReport
+from fifo_stackup.instance import Instance, PalletIndex
 from fifo_stackup.oracles import DpResult
 from fifo_stackup.pathwidth import DpwResult
 from fifo_stackup.seqgraph import DecompositionCheck, Digraph, DirectedPathDecomposition
@@ -28,9 +28,6 @@ CASES = [
      "Instance(sequences=((0, 1), (1, 0)), symbols=('a', 'b'))"),
     (PalletIndex, ("first", "last"), (((1, 2), (2, 1)), ((1, 2), (2, 1))),
      "PalletIndex(first=((1, 2), (2, 1)), last=((1, 2), (2, 1)))"),
-    (ValidationReport, ("k", "m", "n", "N", "single_bin_pallets", "warnings"),
-     (2, 2, 4, 2, (), ()),
-     "ValidationReport(k=2, m=2, n=4, N=2, single_bin_pallets=(), warnings=())"),
     (PalletSolution, ("order",), ((1, 0),), "PalletSolution(order=(1, 0))"),
     (BinSolution, ("moves",), (((0, 1), (1, 1)),), "BinSolution(moves=((0, 1), (1, 1)))"),
     (ReplayReport, ("max_open", "open_trace", "valid", "first_violation"),
@@ -62,7 +59,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_record_class_is_covered():
-    assert len({case[0] for case in CASES}) == 12
+    assert len({case[0] for case in CASES}) == 11
 
 
 @pytest.mark.parametrize("cls,names,values,text", CASES, ids=IDS)
