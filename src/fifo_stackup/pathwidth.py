@@ -2,10 +2,11 @@
 and the stack-up route.
 
 ``dpw_exact`` runs the minimax search of ``search.minimax_order`` on the
-digraph itself; ``dpw_via_stackup`` reduces it to a queue system and runs
-``solve_min_places``, the same search restricted to front pallets.  The
-independent checks, the subset-table dynamic program and the definitional
-bag-sequence search, live in ``fifo_stackup.oracles``.
+digraph itself, from both ends of the order with neither half restricted;
+``dpw_via_stackup`` reduces it to a queue system and runs
+``solve_min_places``, the same search with its forward half restricted to
+front pallets.  The independent checks, the subset-table dynamic program and
+the definitional bag-sequence search, live in ``fifo_stackup.oracles``.
 """
 
 from __future__ import annotations

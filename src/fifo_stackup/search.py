@@ -1,10 +1,12 @@
 """The level search both exact solvers run, and its input encoding.
 
-``minimax_order`` is the search; its docstring states its rules and proves
-them, and ``start_level`` is the lower bound it starts at.  ``arc_masks``
-encodes a digraph as the masks the search reads.  ``pathwidth.dpw_exact``
-runs the search on a digraph; ``processing.solve_min_places`` runs it on a
-sequence graph, restricted to front pallets.
+``minimax_order`` is the search, run from both ends of the vertex order
+until the two halves meet; its docstring states its rules and proves them,
+and ``start_level`` is the lower bound it starts at.  ``arc_masks`` encodes
+a digraph as the masks the search reads.  ``pathwidth.dpw_exact`` runs the
+search on a digraph, with neither half restricted;
+``processing.solve_min_places`` runs it on a sequence graph, with the
+forward half restricted to front pallets and the backward half not.
 
 This module is internal, like ``fifo_stackup.oracles``: it is not in the
 package namespace, and is imported as ``fifo_stackup.search``.
@@ -14,8 +16,9 @@ from __future__ import annotations
 
 from .errors import InternalError
 
-# Up to this many vertices the search marks sets in a byte table of 2^n
-# entries; above it, where zeroing the table costs more, in a dict.
+# Up to this many vertices each half of the search marks sets in a byte
+# table of 2^n entries; above it, where zeroing the table costs more, in a
+# dict.
 BYTE_TABLE_MAX_VERTICES = 21
 
 
@@ -45,29 +48,30 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     front of each queue, its first vertex not in S, may come next, and a
     vertex outside ``start`` and every queue, which only a faulty caller can
     pass, raises InternalError.  A queue may repeat a vertex or hold
-    ``start`` vertices; only first occurrences count.
+    ``start`` vertices; only first occurrences count.  With ``queues`` the
+    masks must be the queues' sequence graph and ``start`` pallets with one
+    bin, as ``processing.solve_min_places`` passes them (see "Which half is
+    restricted" below).
     Whether v heads a queue depends on S alone: every vertex ahead of v there
     is placed, a mask built once.  A stack entry carries the allowed mask of
     its parent and the bit v placed last, 0 at the start, which heads every
     queue; at its pop v leaves the mask, and each queue v headed adds its
     next unplaced vertex.
 
-    A minimax search over the sets S, with b(S) carried as a bitmask.
-    Placing v adds v unless in(v) is within S + v, and drops each u of
-    out(v) & b(S) with in(u) within S + v; a step reads only out(v) & b(S),
-    as no other u loses an unplaced in-neighbour.  The cost of S is
-    |b(S)|.  Levels are costs, visited in increasing order from a start level
-    that no order can beat, the bound below.  Sets whose cost is at most the
-    level go on a stack.  As b(S + v) is within b(S) + v, a step raises the
-    cost by at most one, so a costlier set costs level + 1 and waits in one
-    list, the next level's stack.  A cost that can rise more per step, such
-    as one raised to a per-set bound like the least out-degree of an
-    unplaced vertex, h(S), would need a list per cost (Dial's buckets) again.
-    A successor already seen is skipped before its boundary is computed.  One
-    table, holding 1 + the vertex placed last, is both the seen mark and the
-    witness link.  The search is exact because a set's cost depends on the
-    set alone: every path to S has a peak of at least |b(S)|, so skipping S
-    when it is seen again loses no cheaper path to it.
+    A minimax search over the sets S, with b(S) carried as a bitmask, run
+    from both ends of the order.  Placing v adds v unless in(v) is within
+    S + v, and drops each u of out(v) & b(S) with in(u) within S + v; a step
+    reads only out(v) & b(S), as no other u loses an unplaced in-neighbour.
+    The cost of S is |b(S)|.  Levels are costs, visited in increasing order
+    from a start level that no order can beat, the bound below.  Sets whose
+    cost is at most the level go on a stack.  As b(S + v) is within b(S) + v,
+    a forward step raises the cost by at most one, so a costlier set costs
+    level + 1 and waits in one list, the next level's stack.  A successor
+    already seen is skipped before its boundary is computed.  One table,
+    holding 1 + the vertex placed last, is both the seen mark and the witness
+    link.  The search is exact because a set's cost depends on the set
+    alone: every path to S has a peak of at least |b(S)|, so skipping S when
+    it is seen again loses no cheaper path to it.
 
     Free moves: when placing v does not grow the boundary, |b(S + v)| <=
     |b(S)|, v is the only successor expanded from S.  This is sound because b
@@ -79,6 +83,56 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     This holds under the restriction too: a front stays a front while other
     vertices are placed, so placing v early disallows no vertex.
 
+    The backward half runs from the full set down: from a set T it takes out
+    a vertex v of T - start, and the orders through T - v and T are those
+    that place v just after T - v.  A vertex u of T - v - start is in
+    b(T - v) when it is in b(T) or when v is an in-neighbour of u, so
+    b(T - v) = (b(T) - v) | (out(v) & (T - v - start)), a few big-int
+    operations and no loop over the boundary.  This step can raise the cost
+    by up to |out(v)|, so a set that costs c above the level waits in the
+    list for c, one list per cost (Dial's buckets).  With a single list, a
+    set that costs level + 2 would be expanded at level + 1, on a path whose
+    peak the level does not bound.  The backward side has its own table,
+    holding 1 + the vertex placed just after T.
+
+    Backward free moves: when |b(T - v)| <= |b(T)|, T - v is the only
+    successor expanded from T.  Take an order through T with every prefix at
+    most the level, and any prefix X from where it places v up to T.  By the
+    bound above, D(X - v, v) >= D(T - v, v) = |b(T)| - |b(T - v)| >= 0, so
+    |b(X - v)| <= |b(X)|: moving v back to directly before T raises no
+    prefix, and some such order passes T - v.  This needs no front
+    restriction.  Moving v later can break a front, though, so under
+    ``queues`` the backward half is not restricted, and backward free moves
+    would be unsound if it were.
+
+    Meeting: a set that costs at most the level and that both sides have
+    marked joins the forward path from ``start`` to it and the backward path
+    from it to the full set into one order.  Every other set on either path
+    was popped, at this level or an earlier one, so the order's peak is at
+    most the level.  The check runs when a successor is pushed and when a
+    set is popped, so a set both sides marked while it cost above the level
+    is caught when it is popped.  ``start`` and the full set are marked from
+    the outset, so a side that finishes its search meets the other there at
+    the latest.  The side with the smaller stack pops next, forward on a
+    tie.  A level is refuted as soon as either side runs out of sets: each
+    side alone is a complete search at its level.  So the level at which the
+    sides meet is the least peak.  At a level change the sets still on a
+    side's stack stay on it, and each side's list for the new level joins
+    its stack.  A side with nothing left, on its stack or waiting at any
+    cost, would refute every later level with no work, and no peak reaches
+    n; only a fault brings either about, and it raises InternalError.
+
+    Which half is restricted: under ``queues`` only the forward half keeps
+    the front restriction, and the search stays exact.  Let R be the least
+    peak of a restricted order and U that of any order, so R >= U.  An order
+    of peak U becomes a processing through ``transform``, and by the argument
+    of ``seqgraph.decomposition_to_processing`` at most U + 1 pallets are
+    open at once; one-bin pallets never open.  The pallets open at a
+    decision configuration are the boundary of the pallets started, so the
+    processing's opening order is a restricted order of peak at most U, and
+    R = U.  A backward side that runs out at level L shows U > L, hence
+    R > L, and a joined order of peak R replays at R + 1 places.
+
     The start level.  Let H be a set of unplaced vertices, and take any order.
     Let v be the last vertex of H placed, and w the vertex of H placed just
     before v.  Just before v, each out-neighbour of v in H is placed and waits
@@ -88,13 +142,13 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     dropped too, because out(w) may hold v.  So the peak is at least the
     least, over v in H, of max(d(v), the least such pair count over w), which
     is at least the least d(v) (the degeneracy bound).  Both arguments hold
-    for every order, so also under the front restriction.  ``start_level``
-    takes the bound along a peel chain: H starts as every unplaced vertex,
-    and the vertices with at most the level's out-neighbours in H leave it
-    after each bound, until H has fewer than level + 2 vertices and cannot
-    raise the level.  A search that starts at a bound still returns the
-    least peak, and skips the levels where it would only prove that no order
-    is better.
+    for every order, so also under the front restriction, and both halves
+    start at the bound.  ``start_level`` takes the bound along a peel chain:
+    H starts as every unplaced vertex, and the vertices with at most the
+    level's out-neighbours in H leave it after each bound, until H has fewer
+    than level + 2 vertices and cannot raise the level.  A search that starts
+    at a bound still returns the least peak, and skips the levels where it
+    would only prove that no order is better.
     """
     n = len(in_mask)
     full = (1 << n) - 1
@@ -104,65 +158,120 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     # it: the bits ahead of it, the queue's first occurrences between two 0s,
     # the index after it
     fronts = {bit: [] for bit in [0] + [1 << v for v in range(n)]}
+    queued = start
     for queue in queues or ():
         bits = [0] + [1 << v for v in dict.fromkeys(queue)] + [0]
         ahead = 0
         for p, bit in enumerate(bits[:-1], 1):
             fronts[bit].append((ahead, bits, p))
             ahead |= bit
-    # 1 + the vertex placed last; 0 while unseen
+        queued |= ahead
+    if queues is not None and queued != full:
+        raise InternalError("a vertex outside start is in no queue")
+    # 1 + the vertex placed last in S, and 1 + the vertex placed just after
+    # T; 0 while unseen.  start and the full set are marked from the outset.
     last = bytearray(1 << n) if n <= BYTE_TABLE_MAX_VERTICES else _Links()
+    back = bytearray(1 << n) if n <= BYTE_TABLE_MAX_VERTICES else _Links()
+    last[start] = back[full] = 1
     level = start_level(out_mask, full ^ start)
     # (S, b(S), the parent's allowed mask, the bit placed last)
     stack = [(start, 0, full ^ start if queues is None else 0, 0)]
     later = []  # the sets that cost level + 1
+    bstack = [(full, 0)]  # (T, b(T))
+    waiting = {}  # cost above the level -> the backward sets that cost it
     while True:
-        while stack:
-            placed, boundary, allowed, bit = stack.pop()
-            unplaced = full ^ placed
-            allowed ^= bit
-            for ahead, bits, p in fronts[bit]:
-                if not ahead & unplaced:
-                    while placed & bits[p]:
-                        p += 1
-                    allowed |= bits[p]
-            size = boundary.bit_count()
-            moves = []
-            rest = allowed
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                successor = placed | bit
-                if last[successor]:
-                    continue
-                v = bit.bit_length() - 1
-                grown = boundary | bit if in_mask[v] & unplaced else boundary
-                near = out_mask[v] & boundary
-                while near:
-                    low = near & -near
-                    near ^= low
-                    if not in_mask[low.bit_length() - 1] & (unplaced ^ bit):
-                        grown ^= low
-                if grown.bit_count() <= size:
-                    moves = [(bit, successor, grown)]  # a free move: expand it alone
-                    break
-                moves.append((bit, successor, grown))
-            for bit, successor, grown in moves:
-                last[successor] = bit.bit_length()
-                if successor == full:
-                    order = []
-                    while successor != start:
-                        v = last[successor] - 1
-                        order.append(v)
-                        successor ^= 1 << v
-                    order.reverse()
-                    return level, order
-                (stack if grown.bit_count() <= level else later).append(
-                    (successor, grown, allowed, bit))
-        if not later:
-            raise InternalError("a vertex outside start is in no queue")
+        while stack and bstack:
+            if len(stack) <= len(bstack):
+                placed, boundary, allowed, bit = stack.pop()
+                if back[placed]:
+                    return level, _join(placed, last, back, start, full)
+                unplaced = full ^ placed
+                allowed ^= bit
+                for ahead, bits, p in fronts[bit]:
+                    if not ahead & unplaced:
+                        while placed & bits[p]:
+                            p += 1
+                        allowed |= bits[p]
+                size = boundary.bit_count()
+                moves = []
+                rest = allowed
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    successor = placed | bit
+                    if last[successor]:
+                        continue
+                    v = bit.bit_length() - 1
+                    grown = boundary | bit if in_mask[v] & unplaced else boundary
+                    near = out_mask[v] & boundary
+                    while near:
+                        low = near & -near
+                        near ^= low
+                        if not in_mask[low.bit_length() - 1] & (unplaced ^ bit):
+                            grown ^= low
+                    if grown.bit_count() <= size:
+                        moves = [(bit, successor, grown)]  # a free move: expand it alone
+                        break
+                    moves.append((bit, successor, grown))
+                for bit, successor, grown in moves:
+                    last[successor] = bit.bit_length()
+                    if grown.bit_count() <= level:
+                        if back[successor]:
+                            return level, _join(successor, last, back, start, full)
+                        stack.append((successor, grown, allowed, bit))
+                    else:
+                        later.append((successor, grown, allowed, bit))
+            else:
+                placed, boundary = bstack.pop()
+                if last[placed]:
+                    return level, _join(placed, last, back, start, full)
+                inner = placed ^ start
+                size = boundary.bit_count()
+                moves = []
+                rest = inner
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    predecessor = placed ^ bit
+                    if back[predecessor]:
+                        continue
+                    shrunk = boundary & ~bit | out_mask[bit.bit_length() - 1] & (inner ^ bit)
+                    if shrunk.bit_count() <= size:
+                        moves = [(bit, predecessor, shrunk)]  # a free move: expand it alone
+                        break
+                    moves.append((bit, predecessor, shrunk))
+                for bit, predecessor, shrunk in moves:
+                    back[predecessor] = bit.bit_length()
+                    cost = shrunk.bit_count()
+                    if cost <= level:
+                        if last[predecessor]:
+                            return level, _join(predecessor, last, back, start, full)
+                        bstack.append((predecessor, shrunk))
+                    else:
+                        waiting.setdefault(cost, []).append((predecessor, shrunk))
         level += 1
-        stack, later = later, []
+        stack += later
+        later = []
+        bstack += waiting.pop(level, ())
+        if level >= n or not stack or not (bstack or waiting):
+            raise InternalError("the two sides of the search did not meet")
+
+
+def _join(meet, last, back, start, full):
+    """The order through ``meet``: its ``last`` links back to ``start``, then
+    its ``back`` links on to the full set."""
+    order = []
+    placed = meet
+    while placed != start:
+        v = last[placed] - 1
+        order.append(v)
+        placed ^= 1 << v
+    order.reverse()
+    while meet != full:
+        v = back[meet] - 1
+        order.append(v)
+        meet |= 1 << v
+    return order
 
 
 def start_level(out_mask, unplaced):

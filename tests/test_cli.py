@@ -547,7 +547,7 @@ class TestInternalFaults:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("internal error: the search's vertex order is no permutation "
-                                "of the vertices: [5, 4, 0, 1, 2, 6]\n")
+                                "of the vertices: [4, 3, 2, 1, 0, 6]\n")
 
     @pytest.mark.parametrize("mutate", [
         lambda order: order[:-1] + [-1],

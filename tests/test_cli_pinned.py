@@ -190,27 +190,27 @@ CASES = [
      "{\n"
      '  "bags": [\n'
      "    [\n"
-     '      "f"\n'
-     "    ],\n"
-     "    [\n"
-     '      "e",\n'
-     '      "f"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "b",\n'
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "c",\n'
      '      "e"\n'
      "    ],\n"
      "    [\n"
      '      "d",\n'
      '      "e"\n'
+     "    ],\n"
+     "    [\n"
+     '      "c",\n'
+     '      "d"\n'
+     "    ],\n"
+     "    [\n"
+     '      "b",\n'
+     '      "c"\n'
+     "    ],\n"
+     "    [\n"
+     '      "a",\n'
+     '      "b"\n'
+     "    ],\n"
+     "    [\n"
+     '      "a",\n'
+     '      "f"\n'
      "    ]\n"
      "  ],\n"
      '  "width": 1\n'
@@ -221,39 +221,6 @@ CASES = [
      '  "bags": [\n'
      "    [],\n"
      "    [\n"
-     '      "f"\n'
-     "    ],\n"
-     "    [\n"
-     '      "e",\n'
-     '      "f"\n'
-     "    ],\n"
-     "    [\n"
-     '      "e",\n'
-     '      "f"\n'
-     "    ],\n"
-     "    [\n"
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "a",\n'
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "b",\n'
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "e"\n'
-     "    ],\n"
-     "    [\n"
-     '      "c",\n'
      '      "e"\n'
      "    ],\n"
      "    [\n"
@@ -264,7 +231,38 @@ CASES = [
      '      "e"\n'
      "    ],\n"
      "    [\n"
-     '      "e"\n'
+     '      "d"\n'
+     "    ],\n"
+     "    [\n"
+     '      "c",\n'
+     '      "d"\n'
+     "    ],\n"
+     "    [\n"
+     '      "c"\n'
+     "    ],\n"
+     "    [\n"
+     '      "b",\n'
+     '      "c"\n'
+     "    ],\n"
+     "    [\n"
+     '      "b"\n'
+     "    ],\n"
+     "    [\n"
+     '      "a",\n'
+     '      "b"\n'
+     "    ],\n"
+     "    [\n"
+     '      "a"\n'
+     "    ],\n"
+     "    [\n"
+     '      "a"\n'
+     "    ],\n"
+     "    [\n"
+     '      "a",\n'
+     '      "f"\n'
+     "    ],\n"
+     "    [\n"
+     '      "a"\n'
      "    ],\n"
      "    []\n"
      "  ],\n"

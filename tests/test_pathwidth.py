@@ -126,8 +126,10 @@ class TestLevelSearch:
         it, so a step raises a set's cost by at most one and every set the
         search defers costs the level + 1.  It is exactly the engine's step
         rule: b(S) + [v if in(v) is not within S + v] - {u in out(v) & b(S) :
-        in(u) within S + v}.  b is taken from the definition: the vertices of
-        S with an in-neighbour outside S."""
+        in(u) within S + v}.  Read backward it is the backward half's step:
+        b(S) = (b(S + v) - v) | (out(v) & S), which a step back can grow by
+        more than one.  b is taken from the definition: the vertices of S
+        with an in-neighbour outside S."""
         rng = SplitMix64(percent * 97 + 3)
         for n in range(1, 10):
             graph = random_digraph(rng, n, percent)
@@ -145,6 +147,21 @@ class TestLevelSearch:
                     if not ins[v] <= placed:
                         step.add(v)
                     assert after == step, (n, mask, v)
+                    assert boundary[mask] == after - {v} | outs[v] & s, (n, mask, v)
+
+    @pytest.mark.parametrize("seed", [38, 373])
+    def test_a_backward_step_that_raises_the_cost_by_two(self, seed):
+        """On these inputs (11 and 16 vertices) a backward step raises the
+        cost by more than one, so a backward side that kept one waiting list
+        for every cost would answer one too few."""
+        graph = random_admissible_digraph(6 + seed % 11, max_degree=2 + seed % 4, seed=seed)
+        assert dpw_exact(graph).width == dpw_table(graph).width
+
+    def test_beyond_the_table(self):
+        """Beyond the reach of ``dpw_table``, which would enumerate 2^36
+        subsets."""
+        graph = random_admissible_digraph(36, max_degree=3, seed=1)
+        assert dpw_exact(graph, max_vertices=36).width == 5
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_sequence_graphs(self, seed):

@@ -40,9 +40,9 @@ def exact_rows():
 
 
 @pytest.mark.parametrize("rows,digest", [
-    (stackup_rows, "3d00b00bc7b8e505321c9a78460105b70865be26d4b2cd404da69950bd6f1598"),
-    (via_stackup_rows, "f3be76b941197df9889109589aa44c5fc11bb4f2d05a91e2a5705b5d9cdbc573"),
-    (exact_rows, "3d91eda73ae2e9f7b6195c6f432d965c4cf400c04e001cf60a9f6268cdee7851"),
+    (stackup_rows, "cf4edf32fbc0f42ee6ab90bbfe4ccee056a5b744ef6873c69a294a2bb3d83ae9"),
+    (via_stackup_rows, "7b3762db3330b9c6f7662131a5fd2d91507fd865b20e44c15b0b207d77e9eacf"),
+    (exact_rows, "5b78f14b9679b31af6d6435d8566c9e907179e7578f6a45c55689669270457ce"),
 ], ids=["solve_min_places", "dpw_via_stackup", "dpw_exact"])
 def test_witnesses_are_pinned(rows, digest):
     sha = hashlib.sha256()
