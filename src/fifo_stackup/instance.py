@@ -17,7 +17,9 @@ from collections.abc import Iterable, Sequence
 from ._record import Record
 from .errors import InstanceFormatError
 
-SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# The symbol alphabet, one character class for both text formats.
+SYMBOL = r"[A-Za-z0-9_]+"
+SYMBOL_RE = re.compile(SYMBOL + r"\Z")
 _SEQ_LINE_RE = re.compile(r"seq\s+(\d+)\s*:(.*)\Z")
 
 

@@ -58,24 +58,31 @@ def _check_vertex_budget(graph: Digraph, max_vertices: int) -> None:
 def _ordering_result(graph: Digraph, in_mask: list[int], order: list[int],
                      width: int) -> DpwResult:
     """The certified decomposition of a vertex ordering: the bag of v is v plus
-    every vertex placed before it that still has an unplaced in-neighbour;
-    ``in_mask`` as from ``search.arc_masks``.  An order that is no
+    the boundary b(S) of the placed set S, the placed vertices that still have
+    an unplaced in-neighbour, in ascending order; ``in_mask`` as from
+    ``search.arc_masks``.  b(S + v) is the part of that bag with an in-neighbour
+    outside S + v, so each step reads only its own bag.  An order that is no
     permutation of the vertices is an InternalError."""
     if sorted(order) != list(range(graph.vertex_count)):
         raise InternalError(f"the search's vertex order is no permutation of the vertices: {order}")
     bags = []
-    placed = 0
+    unplaced = (1 << graph.vertex_count) - 1
+    boundary = 0
     for v in order:
+        # built as a set, then copied: a frozenset's iteration order, and so
+        # the witness's repr, depends on how it was built
         bag = {v}
-        rest = placed
+        rest = boundary
         while rest:
             low = rest & -rest
             rest ^= low
-            u = low.bit_length() - 1
-            if in_mask[u] & ~placed:
-                bag.add(u)
+            bag.add(low.bit_length() - 1)
         bags.append(frozenset(bag))
-        placed |= 1 << v
+        unplaced ^= 1 << v
+        boundary = 0
+        for u in bag:
+            if in_mask[u] & unplaced:
+                boundary |= 1 << u
     decomposition = DirectedPathDecomposition(tuple(bags))
     _certify(graph, decomposition, width)
     return DpwResult(width, decomposition)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 
 from ._record import Record
 from .errors import DigraphFormatError, InadmissibleDigraphError
-from .instance import SYMBOL_RE, Instance
+from .instance import SYMBOL, SYMBOL_RE, Instance
 from .solutions import BinSolution, PalletSolution, open_set_trace, transform
 
 
@@ -38,14 +39,13 @@ class Digraph(Record):
     ) -> "Digraph":
         """Number the vertices in order of first appearance: arc endpoints,
         then the ``isolated`` names."""
-        arcs = list(arcs)
         interned: dict[str, int] = {}
-        for u, v in arcs:
-            interned.setdefault(u, len(interned))
-            interned.setdefault(v, len(interned))
+        intern = interned.setdefault
+        # each call reads len(interned) after the previous name was interned
+        pairs = frozenset((intern(u, len(interned)), intern(v, len(interned))) for u, v in arcs)
         for w in isolated:
-            interned.setdefault(w, len(interned))
-        return cls(tuple(interned), frozenset((interned[u], interned[v]) for u, v in arcs))
+            intern(w, len(interned))
+        return cls(tuple(interned), pairs)
 
     @property
     def vertex_count(self) -> int:
@@ -64,25 +64,38 @@ class Digraph(Record):
         return indeg, outdeg
 
 
+# A well-formed arc or ``vertex`` line, after strip().  ``\s`` is exactly
+# str.isspace, so this accepts the lines that split() cuts into two symbols.
+_ARC_LINE_RE = re.compile(rf"({SYMBOL})\s+({SYMBOL})")
+
+
+def _line_error(lineno: int, line: str) -> DigraphFormatError:
+    """The error for a line _ARC_LINE_RE rejects: a token count other than
+    two, or else the first token outside the symbol alphabet."""
+    tokens = line.split()
+    if len(tokens) != 2:
+        return DigraphFormatError(f"line {lineno}: expected '<u> <v>' or 'vertex <u>'")
+    name = next(token for token in tokens if SYMBOL_RE.fullmatch(token) is None)
+    return DigraphFormatError(f"line {lineno}: illegal vertex name {name!r}")
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse the digraph text format: one ``<u> <v>`` arc per line, isolated
     vertices declared as ``vertex <u>``, comments starting with ``#``.
     ``vertex`` is reserved and cannot name a vertex."""
     arcs: list[tuple[str, str]] = []
     isolated: list[str] = []
+    match_line = _ARC_LINE_RE.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise DigraphFormatError(f"line {lineno}: expected '<u> <v>' or 'vertex <u>'")
-        u, v = tokens
-        for name in (v,) if u == "vertex" else (u, v):
-            if SYMBOL_RE.fullmatch(name) is None:
-                raise DigraphFormatError(f"line {lineno}: illegal vertex name {name!r}")
-            if name == "vertex":
-                raise DigraphFormatError(f"line {lineno}: reserved vertex name 'vertex'")
+        match = match_line(line)
+        if match is None:
+            raise _line_error(lineno, line)
+        u, v = match.groups()
+        if v == "vertex":
+            raise DigraphFormatError(f"line {lineno}: reserved vertex name 'vertex'")
         if u == "vertex":
             isolated.append(v)
         elif u == v:
@@ -159,28 +172,34 @@ def validate_decomposition(graph: Digraph, decomposition: DirectedPathDecomposit
 
     Returns the width on success, otherwise the first violated property with
     a witness: a missing vertex (dpw-1), an uncovered arc (dpw-2), or a
-    vertex whose bag indices are not contiguous (dpw-3).
+    vertex whose bag indices are not contiguous (dpw-3).  One walk over the
+    bags records each vertex's first and last bag and the vertices seen
+    again after a gap; a failed check takes the least of its witnesses.
     """
-    bags = decomposition.bags
-    mentioned = set().union(*bags) if bags else set()
-    vertices = set(range(graph.vertex_count))
-    if not mentioned <= vertices:
-        raise ValueError(f"bags reference unknown vertex ids {sorted(mentioned - vertices)}")
-    missing = vertices - mentioned
-    if missing:
-        return DecompositionCheck(False, violation="dpw-1", witness=graph.names[min(missing)])
-    occurrences: dict[int, int] = {}
-    for bag in bags:
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    broken = []
+    for i, bag in enumerate(decomposition.bags):
         for v in bag:
-            occurrences[v] = occurrences.get(v, 0) + 1
-    alpha, beta = decomposition.intervals()
-    for v in sorted(occurrences):
-        if occurrences[v] != beta[v] - alpha[v] + 1:
-            return DecompositionCheck(False, violation="dpw-3", witness=graph.names[v])
-    for u, v in sorted(graph.arcs):
-        if alpha[u] > beta[v]:
-            return DecompositionCheck(
-                False, violation="dpw-2", witness=(graph.names[u], graph.names[v]))
+            # a vertex seen before, but not in the bag just before, has a gap
+            if last.get(v, i - 1) != i - 1:
+                broken.append(v)
+            first.setdefault(v, i)
+            last[v] = i
+    n = graph.vertex_count
+    unknown = first.keys() - range(n)
+    if unknown:
+        raise ValueError(f"bags reference unknown vertex ids {sorted(unknown)}")
+    if len(first) != n:
+        missing = min(v for v in range(n) if v not in first)
+        return DecompositionCheck(False, violation="dpw-1", witness=graph.names[missing])
+    if broken:
+        return DecompositionCheck(False, violation="dpw-3", witness=graph.names[min(broken)])
+    uncovered = [(u, v) for u, v in graph.arcs if first[u] > last[v]]
+    if uncovered:
+        u, v = min(uncovered)
+        return DecompositionCheck(
+            False, violation="dpw-2", witness=(graph.names[u], graph.names[v]))
     return DecompositionCheck(True, width=decomposition.width)
 
 

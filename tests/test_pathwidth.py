@@ -14,6 +14,7 @@ from fifo_stackup import (
     strip_endpoints,
     validate_decomposition,
 )
+from fifo_stackup import pathwidth
 from fifo_stackup.oracles import dpw_brute_force, dpw_table, search_decomposition_by_bags
 from fifo_stackup.processing import DEFAULT_CONFIGURATION_BUDGET
 from fifo_stackup.search import BYTE_TABLE_MAX_VERTICES, arc_masks, start_level
@@ -234,6 +235,29 @@ class TestCharacterizationAgainstDefinition:
         width = dpw_exact(graph).width
         assert search_decomposition_by_bags(graph, width) is not None
         assert search_decomposition_by_bags(graph, width - 1) is None
+
+
+class TestOrderingBags:
+    def test_bags_follow_the_definition(self):
+        """On any order, not only the search's (``oracles.dpw_table`` passes
+        its own), the bag of v is {v} plus the placed vertices with an
+        unplaced in-neighbour, here found from the arc set directly."""
+        rng = SplitMix64(27)
+        for _ in range(600):
+            n = rng.randint(0, 14)
+            graph = random_digraph(rng, n, 5 + rng.below(60))
+            order = list(range(n))
+            rng.shuffle(order)
+            expected = []
+            for i, v in enumerate(order):
+                placed = set(order[:i])
+                expected.append(frozenset({v} | {
+                    u for w, u in graph.arcs if u in placed and w not in placed}))
+            width = max(map(len, expected), default=0) - 1
+            in_mask, _ = arc_masks(graph)
+            result = pathwidth._ordering_result(graph, in_mask, order, width)
+            assert result.decomposition.bags == tuple(expected)
+            assert result.width == width
 
 
 class TestSymmetricCorrespondence:

@@ -421,8 +421,9 @@ class TestFrontWalk:
         assert pallet_solution == opening_order(inst, bin_solution)
 
     def test_a_vertex_in_no_queue_is_refused(self):
-        """Once the queues are empty, the search has no set left to pop and
-        says so, instead of climbing levels for ever."""
+        """A vertex outside start that no queue holds is refused up front by
+        the search's queue mask, before any set is popped, instead of the
+        search climbing levels for ever."""
         with pytest.raises(InternalError, match="in no queue"):
             search.minimax_order([0, 0], [0, 0], 0, [[0]])
         with pytest.raises(InternalError, match="in no queue"):

@@ -2,6 +2,7 @@ import pytest
 
 from fifo_stackup import (
     BinSolution,
+    DecompositionCheck,
     Digraph,
     DigraphFormatError,
     DirectedPathDecomposition,
@@ -23,6 +24,8 @@ from fifo_stackup import (
     validate_decomposition,
 )
 
+from fifo_stackup.instance import SYMBOL_RE
+
 from conftest import TWO_QUEUE_PROCESSING, THREE_QUEUE_PROCESSING, random_fifo_order, small_instance
 
 
@@ -30,6 +33,73 @@ def bags_of(inst, *symbol_groups):
     ids = {s: i for i, s in enumerate(inst.symbols)}
     return DirectedPathDecomposition(
         tuple(frozenset(ids[s] for s in group) for group in symbol_groups))
+
+
+# The parser and validator as they were before each became one pass, kept
+# verbatim as references for the differential tests below.
+
+def reference_parse_digraph(text):
+    arcs = []
+    isolated = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise DigraphFormatError(f"line {lineno}: expected '<u> <v>' or 'vertex <u>'")
+        u, v = tokens
+        for name in (v,) if u == "vertex" else (u, v):
+            if SYMBOL_RE.fullmatch(name) is None:
+                raise DigraphFormatError(f"line {lineno}: illegal vertex name {name!r}")
+            if name == "vertex":
+                raise DigraphFormatError(f"line {lineno}: reserved vertex name 'vertex'")
+        if u == "vertex":
+            isolated.append(v)
+        elif u == v:
+            raise DigraphFormatError(f"line {lineno}: self-loop at {u!r}")
+        else:
+            arcs.append((u, v))
+    # Digraph.from_named_arcs(arcs, isolated)
+    interned = {}
+    for u, v in arcs:
+        interned.setdefault(u, len(interned))
+        interned.setdefault(v, len(interned))
+    for w in isolated:
+        interned.setdefault(w, len(interned))
+    return Digraph(tuple(interned), frozenset((interned[u], interned[v]) for u, v in arcs))
+
+
+def reference_validate_decomposition(graph, decomposition):
+    bags = decomposition.bags
+    mentioned = set().union(*bags) if bags else set()
+    vertices = set(range(graph.vertex_count))
+    if not mentioned <= vertices:
+        raise ValueError(f"bags reference unknown vertex ids {sorted(mentioned - vertices)}")
+    missing = vertices - mentioned
+    if missing:
+        return DecompositionCheck(False, violation="dpw-1", witness=graph.names[min(missing)])
+    occurrences = {}
+    for bag in bags:
+        for v in bag:
+            occurrences[v] = occurrences.get(v, 0) + 1
+    alpha, beta = decomposition.intervals()
+    for v in sorted(occurrences):
+        if occurrences[v] != beta[v] - alpha[v] + 1:
+            return DecompositionCheck(False, violation="dpw-3", witness=graph.names[v])
+    for u, v in sorted(graph.arcs):
+        if alpha[u] > beta[v]:
+            return DecompositionCheck(
+                False, violation="dpw-2", witness=(graph.names[u], graph.names[v]))
+    return DecompositionCheck(True, width=decomposition.width)
+
+
+def outcome(function, *args):
+    """The value returned, or the class and message of the error raised."""
+    try:
+        return function(*args)
+    except (DigraphFormatError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestBuildSequenceGraph:
@@ -190,6 +260,60 @@ class TestValidateDecomposition:
         assert check.violation == "dpw-3"
         assert check.witness == "a"
 
+    @staticmethod
+    def random_case(rng):
+        """A digraph on 0 to 7 vertices and a bag sequence: the bags of a
+        vertex ordering (always valid) with at most one id added or taken
+        out, random intervals with holes, or random subsets; an unknown id
+        (-1 or n) joins a bag now and then."""
+        n = rng.randint(0, 7)
+        graph = Digraph(tuple(f"v{i}" for i in range(n)), frozenset(
+            (u, v) for u in range(n) for v in range(n) if u != v and rng.below(100) < 30))
+        kind = rng.below(3)
+        if kind == 0:
+            order = list(range(n))
+            rng.shuffle(order)
+            bags = []
+            for i, v in enumerate(order):
+                placed = order[:i]
+                bags.append({v} | {u for u in placed
+                                   if any(b == u and a not in placed for a, b in graph.arcs)})
+            if bags and rng.below(2):
+                bags[rng.below(len(bags))] ^= {rng.below(n)}
+        elif kind == 1:
+            bags = [set() for _ in range(rng.randint(0, 7))]
+            for v in range(n):
+                if bags and rng.below(10):
+                    a = rng.below(len(bags))
+                    for i in range(a, rng.randint(a, len(bags) - 1) + 1):
+                        if rng.below(12):
+                            bags[i].add(v)
+        else:
+            bags = [{rng.below(n) for _ in range(rng.below(4))} if n else set()
+                    for _ in range(rng.randint(0, 7))]
+        for bag in bags:
+            if not rng.below(25):
+                bag.add((-1, n)[rng.below(2)])
+        return graph, DirectedPathDecomposition(tuple(frozenset(bag) for bag in bags))
+
+    def test_agrees_with_the_reference(self):
+        """The one-walk validator returns what the one that sorted every vertex
+        and arc returned, field by field, or raises the same message."""
+        rng = SplitMix64(27)
+        seen = set()
+        for _ in range(20_000):
+            graph, decomposition = self.random_case(rng)
+            expected = outcome(reference_validate_decomposition, graph, decomposition)
+            got = outcome(validate_decomposition, graph, decomposition)
+            assert got == expected, (graph, decomposition)
+            if isinstance(got, DecompositionCheck):
+                assert (got.ok, got.width, got.violation, got.witness) == (
+                    expected.ok, expected.width, expected.violation, expected.witness)
+                seen.add(got.violation)
+            else:
+                seen.add(got[0])
+        assert seen == {None, "dpw-1", "dpw-2", "dpw-3", "ValueError"}
+
     def test_intervals_and_alpha_beta(self, three_queue_instance):
         decomposition = bags_of(three_queue_instance, "ae", "be", "ce", "de")
         alpha, beta = decomposition.intervals()
@@ -290,6 +414,55 @@ class TestDigraphIO:
     def test_parse_and_emit_round_trip(self, ring_digraph):
         text = emit_digraph(ring_digraph)
         assert emit_digraph(parse_digraph(text)) == text
+
+    # Legal symbols (``vertex`` among them) most of the time, a few illegal
+    # ones, separators from every whitespace class split() cuts at (\x1c and
+    # \x85 also end a line for splitlines), and three line endings.
+    FUZZ_SYMBOLS = ("a", "b", "c", "x_1", "Z9", "vertex")
+    FUZZ_ILLEGAL = ("é", "a-b", "x.y", "#", "a#")
+    FUZZ_SPACES = (" ", "  ", "\t", " \t", "\x1c", "\x85", "\xa0", "\u3000", "\x0b")
+    FUZZ_ENDINGS = ("\n", "\r\n", "\r")
+
+    @classmethod
+    def fuzzed_text(cls, rng):
+        def pick(options):
+            return options[rng.below(len(options))]
+
+        def token():
+            return pick(cls.FUZZ_ILLEGAL if not rng.below(30) else cls.FUZZ_SYMBOLS)
+
+        def space():
+            return pick(cls.FUZZ_SPACES) if rng.below(4) else ""
+
+        text = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.below(10)
+            if kind == 0:
+                line = space()
+            elif kind == 1:
+                line = f"{space()}# {token()} {token()}"
+            elif kind == 2:
+                line = f"vertex{pick(cls.FUZZ_SPACES)}{token()}"
+            elif kind == 3:
+                name = token()
+                line = f"{name}{pick(cls.FUZZ_SPACES)}{name}"
+            else:
+                count = (1, 3)[rng.below(2)] if not rng.below(15) else 2
+                line = pick(cls.FUZZ_SPACES).join(token() for _ in range(count))
+            text.append(f"{space()}{line}{space()}{pick(cls.FUZZ_ENDINGS)}")
+        return "".join(text)
+
+    def test_parse_agrees_with_the_reference(self):
+        """The one-pattern parser gives the graph (names, numbering and arcs)
+        or the error message that the split-and-check parser gave."""
+        rng = SplitMix64(27)
+        seen = set()
+        for _ in range(5_000):
+            text = self.fuzzed_text(rng)
+            expected = outcome(reference_parse_digraph, text)
+            assert outcome(parse_digraph, text) == expected, text
+            seen.add(expected[1].split()[2] if isinstance(expected, tuple) else "graph")
+        assert seen == {"graph", "expected", "illegal", "reserved", "self-loop"}
 
     def test_parse_isolated_vertices(self):
         graph = parse_digraph("# two parts\na b\nvertex z\n")
