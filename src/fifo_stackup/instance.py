@@ -18,9 +18,14 @@ from ._record import Record
 from .errors import InstanceFormatError
 
 # The symbol alphabet, one character class for both text formats.
-SYMBOL = r"[A-Za-z0-9_]+"
+_SYMBOL_CHARS = "A-Za-z0-9_"
+SYMBOL = f"[{_SYMBOL_CHARS}]+"
 SYMBOL_RE = re.compile(SYMBOL + r"\Z")
 _SEQ_LINE_RE = re.compile(r"seq\s+(\d+)\s*:(.*)\Z")
+# A sequence line, after strip(), whose token list holds only symbol
+# characters and whitespace.  ``\s`` is exactly str.isspace, so split() cuts
+# that list into symbols.
+_SYMBOLS_LINE_RE = re.compile(rf"seq\s+(\d+)\s*:([{_SYMBOL_CHARS}\s]*)")
 
 
 class Instance(Record):
@@ -92,6 +97,21 @@ class Instance(Record):
         return self._bin_counts
 
 
+def _line_error(lineno: int, line: str, expected: int) -> InstanceFormatError:
+    """The error for a line that is not the next sequence line over the
+    symbol alphabet: no sequence line at all, else an index other than
+    ``expected``, else the first token outside the alphabet."""
+    match = _SEQ_LINE_RE.fullmatch(line)
+    if match is None:
+        return InstanceFormatError(f"line {lineno}: expected 'seq <index>: <symbols>'")
+    index = int(match.group(1))
+    if index != expected:
+        return InstanceFormatError(
+            f"line {lineno}: sequence index {index} out of order (expected {expected})")
+    token = next(token for token in match.group(2).split() if SYMBOL_RE.fullmatch(token) is None)
+    return InstanceFormatError(f"line {lineno}: illegal pallet symbol {token!r}")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the instance text format.
 
@@ -102,26 +122,20 @@ def parse_instance(text: str) -> Instance:
     """
     sequences: list[tuple[int, ...]] = []
     interned: dict[str, int] = {}
+    intern = interned.setdefault
+    match_line = _SYMBOLS_LINE_RE.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        match = _SEQ_LINE_RE.fullmatch(line)
-        if match is None:
-            raise InstanceFormatError(f"line {lineno}: expected 'seq <index>: <symbols>'")
-        index = int(match.group(1))
-        if index != len(sequences) + 1:
-            raise InstanceFormatError(
-                f"line {lineno}: sequence index {index} out of order (expected {len(sequences) + 1})")
+        match = match_line(line)
+        if match is None or int(match.group(1)) != len(sequences) + 1:
+            raise _line_error(lineno, line, len(sequences) + 1)
         tokens = match.group(2).split()
         if not tokens:
             raise InstanceFormatError(f"line {lineno}: empty sequence token list")
-        row = []
-        for token in tokens:
-            if SYMBOL_RE.fullmatch(token) is None:
-                raise InstanceFormatError(f"line {lineno}: illegal pallet symbol {token!r}")
-            row.append(interned.setdefault(token, len(interned)))
-        sequences.append(tuple(row))
+        # each call reads len(interned) after the previous token was interned
+        sequences.append(tuple([intern(token, len(interned)) for token in tokens]))
     if not sequences:
         raise InstanceFormatError("no sequences found")
     return Instance(tuple(sequences), tuple(interned))

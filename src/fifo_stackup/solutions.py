@@ -50,7 +50,12 @@ class ReplayReport(Record):
 
 class _Stepper:
     """A processing in progress: queue positions, bins removed per pallet, the
-    open-pallet set and the moves made so far."""
+    open-pallet set and the moves that ``drain`` made so far.
+
+    A removal opens its pallet on the first bin and closes it on the last;
+    a pallet with one bin never opens.  ``drain`` and ``follow`` each do
+    that bookkeeping in their own loop.
+    """
 
     __slots__ = ("sequences", "counts", "positions", "removed", "open", "moves")
 
@@ -65,8 +70,7 @@ class _Stepper:
     def fork(self) -> "_Stepper":
         """An independent copy of this processing in progress, with an empty
         move log: the pallet brute force, the one caller, never reads the
-        log, and ``transform`` and ``opening_order``, which read it, never
-        fork."""
+        log, and ``transform``, which reads it, never forks."""
         twin = _Stepper.__new__(_Stepper)
         twin.sequences, twin.counts = self.sequences, self.counts
         twin.positions, twin.removed = self.positions.copy(), self.removed.copy()
@@ -77,19 +81,6 @@ class _Stepper:
         """Whether every bin has been removed."""
         return all(p == len(seq) for seq, p in zip(self.sequences, self.positions))
 
-    def remove(self, j: int) -> int:
-        """Remove the front bin of queue j; returns its pallet."""
-        p = self.positions[j]
-        t = self.sequences[j][p]
-        self.positions[j] = p + 1
-        self.moves.append((j, p + 1))
-        self.removed[t] += 1
-        if self.removed[t] == self.counts[t]:
-            self.open.discard(t)
-        elif self.removed[t] == 1:
-            self.open.add(t)
-        return t
-
     def drain(self, pallets) -> int:
         """Remove front bins of the given pallets, lowest queue first, until no
         front bin belongs to one; returns the largest open count passed, the
@@ -99,36 +90,59 @@ class _Stepper:
         and one pass over the queues suffices.  This is the only loop that
         turns a set of pallets into bin removals.
         """
-        positions, opened = self.positions, self.open
+        positions, removed, counts, opened, log = (
+            self.positions, self.removed, self.counts, self.open, self.moves)
         peak = len(opened)
         for j, seq in enumerate(self.sequences):
-            while positions[j] < len(seq) and seq[positions[j]] in pallets:
-                self.remove(j)
-                if len(opened) > peak:
-                    peak = len(opened)
+            p = positions[j]
+            while p < len(seq) and (t := seq[p]) in pallets:
+                p += 1
+                log.append((j, p))
+                removed[t] = r = removed[t] + 1
+                if r == counts[t]:
+                    opened.discard(t)
+                elif r == 1:
+                    opened.add(t)
+                    if len(opened) > peak:
+                        peak = len(opened)
+            positions[j] = p
         return peak
 
-    def follow(self, moves, observe) -> int | None:
-        """Make the given moves, calling ``observe()`` after each.
+    def follow(self, moves):
+        """Make the given moves, yielding the open set after each (the live
+        set: a caller that keeps it copies it), until a move is not the next
+        bin of its queue; ``violation`` then names the outcome.  The moves
+        are not logged: they are the caller's own."""
+        positions, removed, counts, opened, sequences = (
+            self.positions, self.removed, self.counts, self.open, self.sequences)
+        k = len(sequences)
+        for j, pos in moves:
+            if not (0 <= j < k and pos == positions[j] + 1 <= len(sequences[j])):
+                return
+            positions[j] = pos
+            t = sequences[j][pos - 1]
+            removed[t] = r = removed[t] + 1
+            if r == counts[t]:
+                opened.discard(t)
+            elif r == 1:
+                opened.add(t)
+            yield opened
 
-        Returns None for a complete processing, else the index of the first
-        move that is not the next bin of its queue, or the move count when
-        bins were left unconsumed.
-        """
-        positions, sequences = self.positions, self.sequences
-        for step, (j, pos) in enumerate(moves):
-            if not (0 <= j < len(sequences) and pos == positions[j] + 1 <= len(sequences[j])):
-                return step
-            self.remove(j)
-            observe()
-        return None if self.finished() else len(moves)
+    def violation(self, moves) -> int | None:
+        """For a stepper that started from the initial configuration and
+        followed ``moves``: None for a complete processing, else the index of
+        the first move that is not the next bin of its queue, or the move
+        count when bins were left unconsumed."""
+        made = sum(self.positions)
+        return None if made == len(moves) and self.finished() else made
 
 
 def replay(inst: Instance, b_sol: BinSolution) -> ReplayReport:
     """Simulate a bin solution and report validity and the peak open count."""
     stepper = _Stepper(inst)
     trace = [0]
-    violation = stepper.follow(b_sol.moves, lambda: trace.append(len(stepper.open)))
+    trace += map(len, stepper.follow(b_sol.moves))
+    violation = stepper.violation(b_sol.moves)
     return ReplayReport(max(trace), tuple(trace), violation is None, violation)
 
 
@@ -136,7 +150,8 @@ def open_set_trace(inst: Instance, b_sol: BinSolution) -> tuple[frozenset[int], 
     """Open-pallet sets along a valid processing, initial configuration included."""
     stepper = _Stepper(inst)
     trace = [frozenset()]
-    violation = stepper.follow(b_sol.moves, lambda: trace.append(frozenset(stepper.open)))
+    trace += map(frozenset, stepper.follow(b_sol.moves))
+    violation = stepper.violation(b_sol.moves)
     if violation is not None:
         raise ValueError(f"invalid bin solution at move {violation}")
     return tuple(trace)
@@ -146,12 +161,11 @@ def opening_order(inst: Instance, b_sol: BinSolution) -> PalletSolution:
     """Pallet solution induced by a bin solution, or by a prefix of one:
     pallets by first removal.  A move that is not the next bin of its queue
     raises ValueError."""
-    stepper = _Stepper(inst)
-    violation = stepper.follow(b_sol.moves, lambda: None)
-    if violation is not None and violation < len(b_sol.moves):
-        raise ValueError(f"invalid bin solution at move {violation}")
+    made = sum(1 for _ in _Stepper(inst).follow(b_sol.moves))
+    if made < len(b_sol.moves):
+        raise ValueError(f"invalid bin solution at move {made}")
     return PalletSolution(tuple(dict.fromkeys(
-        inst.sequences[j][pos - 1] for j, pos in stepper.moves)))
+        inst.sequences[j][pos - 1] for j, pos in b_sol.moves)))
 
 
 def transform(inst: Instance, t_sol: PalletSolution) -> BinSolution:
@@ -162,9 +176,10 @@ def transform(inst: Instance, t_sol: PalletSolution) -> BinSolution:
     the next pallet of the order is opened.  Runs in O(n + m * k).
     """
     stepper = _Stepper(inst)
+    m = inst.m
     opened: set[int] = set()
     for t in t_sol.order:
-        if not 0 <= t < inst.m:
+        if not 0 <= t < m:
             raise ValueError(f"pallet id {t} out of range")
         opened.add(t)
         stepper.drain(opened)

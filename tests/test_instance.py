@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from fifo_stackup import (
     Instance,
     InstanceFormatError,
+    SplitMix64,
     emit_instance,
     parse_instance,
 )
@@ -14,6 +17,49 @@ from conftest import small_instance
 
 def names(inst, ids):
     return sorted(inst.symbols[t] for t in ids)
+
+
+# The parser and its interning as they were before the parser became one
+# pass, kept verbatim as the reference for the differential test below.
+
+REFERENCE_SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+" + r"\Z")
+REFERENCE_SEQ_LINE_RE = re.compile(r"seq\s+(\d+)\s*:(.*)\Z")
+
+
+def reference_parse_instance(text):
+    sequences = []
+    interned = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = REFERENCE_SEQ_LINE_RE.fullmatch(line)
+        if match is None:
+            raise InstanceFormatError(f"line {lineno}: expected 'seq <index>: <symbols>'")
+        index = int(match.group(1))
+        if index != len(sequences) + 1:
+            raise InstanceFormatError(
+                f"line {lineno}: sequence index {index} out of order (expected {len(sequences) + 1})")
+        tokens = match.group(2).split()
+        if not tokens:
+            raise InstanceFormatError(f"line {lineno}: empty sequence token list")
+        row = []
+        for token in tokens:
+            if REFERENCE_SYMBOL_RE.fullmatch(token) is None:
+                raise InstanceFormatError(f"line {lineno}: illegal pallet symbol {token!r}")
+            row.append(interned.setdefault(token, len(interned)))
+        sequences.append(tuple(row))
+    if not sequences:
+        raise InstanceFormatError("no sequences found")
+    return Instance(tuple(sequences), tuple(interned))
+
+
+def outcome(function, text):
+    """The instance returned, or the class and message of the error raised."""
+    try:
+        return function(text)
+    except (InstanceFormatError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestParse:
@@ -75,6 +121,73 @@ class TestParse:
     def test_case_sensitive_symbols(self):
         inst = parse_instance("seq 1: a A a A")
         assert inst.m == 2
+
+    # Legal symbols most of the time, a few illegal ones (":" among them, which
+    # the sequence-line pattern must not take into the token list), separators
+    # from every whitespace class split() cuts at (\x1c and \x85 also end a
+    # line for splitlines), and three line endings.  Indices are mostly the
+    # next one, sometimes written "01" or with a Unicode digit, sometimes wrong.
+    FUZZ_SYMBOLS = ("a", "b", "c", "x_1", "Z9", "seq")
+    FUZZ_ILLEGAL = ("é", "a-b", "x.y", "#", "a#", ":", "a:b")
+    FUZZ_SPACES = (" ", "  ", "\t", " \t", "\x1c", "\x85", "\xa0", "\u3000", "\x0b")
+    FUZZ_ENDINGS = ("\n", "\r\n", "\r")
+    FUZZ_NOT_SEQ = ("queue 1: a", "seq: a", "seq1: a", "seq 1 a", "seq x: a", "1: a")
+
+    @classmethod
+    def fuzzed_text(cls, rng):
+        def pick(options):
+            return options[rng.below(len(options))]
+
+        def token():
+            return pick(cls.FUZZ_ILLEGAL if not rng.below(40) else cls.FUZZ_SYMBOLS)
+
+        def space():
+            return pick(cls.FUZZ_SPACES) if not rng.below(4) else ""
+
+        def sep():
+            return pick(cls.FUZZ_SPACES) if not rng.below(6) else pick((" ", "\t"))
+
+        text = []
+        expected = 1
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.below(16)
+            if kind == 0:
+                line = space()
+            elif kind == 1:
+                line = f"{space()}#{space()}{token()} {token()}"
+            elif kind == 2:
+                line = pick(cls.FUZZ_NOT_SEQ)
+            else:
+                index = str(expected)
+                shape = rng.below(25)
+                if shape == 0:
+                    index = str(expected + pick((-1, 1)))
+                elif shape == 1:
+                    index = "0" + index
+                elif shape == 2:
+                    index = "\u0661"  # ARABIC-INDIC DIGIT ONE, read by int() as 1
+                count = 0 if not rng.below(25) else rng.randint(1, 5)
+                tokens = sep().join(token() for _ in range(count))
+                colon = f"{space()}:" if rng.below(2) else ":"
+                line = f"seq{sep()}{index}{colon}{space()}{tokens}"
+                expected += 1
+            text.append(f"{space()}{line}{space()}{pick(cls.FUZZ_ENDINGS)}")
+        return "".join(text)
+
+    def test_parse_agrees_with_the_reference(self):
+        """The one-pattern parser gives the instance (sequences, symbols and
+        their numbering) or the error message that the per-token parser gave."""
+        rng = SplitMix64(28)
+        seen = set()
+        for _ in range(5_000):
+            text = self.fuzzed_text(rng)
+            expected = outcome(reference_parse_instance, text)
+            assert outcome(parse_instance, text) == expected, text
+            if isinstance(expected, tuple):
+                seen.add(expected[1].split(": ", 1)[-1].split()[0])
+            else:
+                seen.add("instance")
+        assert seen == {"instance", "expected", "sequence", "empty", "illegal", "no"}
 
 
 class TestFrontAndCut:

@@ -9,6 +9,7 @@ from fifo_stackup import (
     GenSpec,
     Instance,
     PalletSolution,
+    ReplayReport,
     SplitMix64,
     TransformStuckError,
     decomposition_to_processing,
@@ -41,6 +42,104 @@ def all_fifo_orders(inst):
             positions[j] += 1
             moves.append((j, positions[j]))
         yield BinSolution(tuple(moves))
+
+
+# The stepper's routes as they were before ``drain`` and ``follow`` did their
+# own removal bookkeeping, kept verbatim as the reference for the
+# differential test in TestStepperAgreement.
+
+class ReferenceStepper:
+    __slots__ = ("sequences", "counts", "positions", "removed", "open", "moves")
+
+    def __init__(self, inst: Instance):
+        self.sequences = inst.sequences
+        self.counts = inst.bin_counts()
+        self.positions = [0] * inst.k
+        self.removed = [0] * inst.m
+        self.open: set[int] = set()
+        self.moves: list[tuple[int, int]] = []
+
+    def finished(self) -> bool:
+        return all(p == len(seq) for seq, p in zip(self.sequences, self.positions))
+
+    def remove(self, j: int) -> int:
+        p = self.positions[j]
+        t = self.sequences[j][p]
+        self.positions[j] = p + 1
+        self.moves.append((j, p + 1))
+        self.removed[t] += 1
+        if self.removed[t] == self.counts[t]:
+            self.open.discard(t)
+        elif self.removed[t] == 1:
+            self.open.add(t)
+        return t
+
+    def drain(self, pallets) -> int:
+        positions, opened = self.positions, self.open
+        peak = len(opened)
+        for j, seq in enumerate(self.sequences):
+            while positions[j] < len(seq) and seq[positions[j]] in pallets:
+                self.remove(j)
+                if len(opened) > peak:
+                    peak = len(opened)
+        return peak
+
+    def follow(self, moves, observe) -> int | None:
+        positions, sequences = self.positions, self.sequences
+        for step, (j, pos) in enumerate(moves):
+            if not (0 <= j < len(sequences) and pos == positions[j] + 1 <= len(sequences[j])):
+                return step
+            self.remove(j)
+            observe()
+        return None if self.finished() else len(moves)
+
+
+def reference_replay(inst: Instance, b_sol: BinSolution) -> ReplayReport:
+    stepper = ReferenceStepper(inst)
+    trace = [0]
+    violation = stepper.follow(b_sol.moves, lambda: trace.append(len(stepper.open)))
+    return ReplayReport(max(trace), tuple(trace), violation is None, violation)
+
+
+def reference_open_set_trace(inst: Instance, b_sol: BinSolution) -> tuple[frozenset[int], ...]:
+    stepper = ReferenceStepper(inst)
+    trace = [frozenset()]
+    violation = stepper.follow(b_sol.moves, lambda: trace.append(frozenset(stepper.open)))
+    if violation is not None:
+        raise ValueError(f"invalid bin solution at move {violation}")
+    return tuple(trace)
+
+
+def reference_opening_order(inst: Instance, b_sol: BinSolution) -> PalletSolution:
+    stepper = ReferenceStepper(inst)
+    violation = stepper.follow(b_sol.moves, lambda: None)
+    if violation is not None and violation < len(b_sol.moves):
+        raise ValueError(f"invalid bin solution at move {violation}")
+    return PalletSolution(tuple(dict.fromkeys(
+        inst.sequences[j][pos - 1] for j, pos in stepper.moves)))
+
+
+def reference_transform(inst: Instance, t_sol: PalletSolution) -> BinSolution:
+    stepper = ReferenceStepper(inst)
+    opened: set[int] = set()
+    for t in t_sol.order:
+        if not 0 <= t < inst.m:
+            raise ValueError(f"pallet id {t} out of range")
+        opened.add(t)
+        stepper.drain(opened)
+    if not stepper.finished():
+        raise TransformStuckError(
+            "stuck: no front bin matches the opened prefix and no pallets remain")
+    return BinSolution(tuple(stepper.moves))
+
+
+def outcome(function, *args):
+    """The value returned and its repr, or the class and message of the error raised."""
+    try:
+        value = function(*args)
+    except (ValueError, TransformStuckError) as exc:
+        return type(exc).__name__, str(exc)
+    return value, repr(value)
 
 
 class TestTransform:
@@ -153,6 +252,67 @@ class TestStepperFork:
         assert (twin.positions, twin.removed, twin.open) == (
             whole.positions, whole.removed, whole.open)
         assert twin.moves == whole.moves[len(before[3]):]
+
+
+class TestStepperAgreement:
+    @staticmethod
+    def mutated_bins(inst, moves, rng):
+        """The bin solution and one copy per fault that follow must name."""
+        i, j = sorted(rng.below(len(moves)) for _ in range(2))
+        queue, pos = moves[i]
+        last = rng.below(inst.k)
+        yield "valid", moves
+        yield "dropped", moves[:i] + moves[i + 1:]
+        yield "swapped", moves[:i] + (moves[j],) + moves[i + 1:j] + (moves[i],) + moves[j + 1:]
+        yield "repeated", moves[:i + 1] + moves[i:]
+        yield "queue -1", moves[:i] + ((-1, pos),) + moves[i + 1:]
+        yield "queue k", moves[:i] + ((inst.k, pos),) + moves[i + 1:]
+        yield "position 0", moves[:i] + ((queue, 0),) + moves[i + 1:]
+        yield "truncated", moves[:i]
+        yield "past the end", moves + ((last, len(inst.sequences[last]) + 1),)
+
+    @staticmethod
+    def pallet_orders(inst, order, rng):
+        """The pallet order and copies that transform refuses or gets stuck on."""
+        shuffled = list(range(inst.m))
+        rng.shuffle(shuffled)
+        at = rng.below(inst.m)
+        yield order
+        yield tuple(shuffled)
+        yield order[:at]
+        yield order[:at] + (-1,) + order[at:]
+        yield order[:at] + (inst.m,) + order[at:]
+
+    def test_routes_agree_with_the_reference(self):
+        """transform, replay, open_set_trace and opening_order return what the
+        per-bin ``remove`` stepper returned, or raise the same error, on
+        seeded instances and on bin solutions with one fault each."""
+        refused, transformed = set(), set()
+        for seed in range(300):
+            pallets = 2 + seed % 9
+            spec = GenSpec(pallets=pallets, queues=1 + seed % min(5, pallets),
+                           min_bins=1 + seed % 2, max_bins=2 + seed % 3, seed=seed + 2800)
+            inst = generate_instance(spec)
+            rng = SplitMix64(seed)
+            for kind, moves in self.mutated_bins(inst, random_fifo_order(inst, rng), rng):
+                b_sol = BinSolution(moves)
+                report = reference_replay(inst, b_sol)
+                assert outcome(replay, inst, b_sol) == (report, repr(report)), kind
+                assert outcome(open_set_trace, inst, b_sol) == outcome(
+                    reference_open_set_trace, inst, b_sol), kind
+                assert outcome(opening_order, inst, b_sol) == outcome(
+                    reference_opening_order, inst, b_sol), kind
+                if not report.valid:
+                    refused.add(kind)
+            order = reference_opening_order(inst, BinSolution(random_fifo_order(inst, rng))).order
+            for t_order in self.pallet_orders(inst, order, rng):
+                t_sol = PalletSolution(t_order)
+                expected = outcome(reference_transform, inst, t_sol)
+                assert outcome(transform, inst, t_sol) == expected, t_order
+                transformed.add(expected[0] if isinstance(expected[0], str) else "bins")
+        assert refused == {"dropped", "swapped", "repeated", "queue -1", "queue k",
+                           "position 0", "truncated", "past the end"}
+        assert transformed == {"bins", "ValueError", "TransformStuckError"}
 
 
 class TestBruteForcePalletOrders:
