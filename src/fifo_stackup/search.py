@@ -105,22 +105,22 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     ``queues`` the backward half is not restricted, and backward free moves
     would be unsound if it were.
 
-    Meeting: a set that costs at most the level and that both sides have
-    marked joins the forward path from ``start`` to it and the backward path
-    from it to the full set into one order.  Every other set on either path
-    was popped, at this level or an earlier one, so the order's peak is at
-    most the level.  The check runs when a successor is pushed and when a
-    set is popped, so a set both sides marked while it cost above the level
-    is caught when it is popped.  ``start`` and the full set are marked from
-    the outset, so a side that finishes its search meets the other there at
-    the latest.  The side with the smaller stack pops next, forward on a
-    tie.  A level is refuted as soon as either side runs out of sets: each
-    side alone is a complete search at its level.  So the level at which the
-    sides meet is the least peak.  At a level change the sets still on a
-    side's stack stay on it, and each side's list for the new level joins
-    its stack.  A side with nothing left, on its stack or waiting at any
-    cost, would refute every later level with no work, and no peak reaches
-    n; only a fault brings either about, and it raises InternalError.
+    Meeting: when a side pops a set that the other side has marked, the
+    forward path from ``start`` to it and the backward path from it to the
+    full set join into one order.  Every other set on either path was
+    popped, at this level or an earlier one, and the set itself costs at
+    most the level, so the order's peak is at most the level.  The check
+    runs only at a pop, and that is enough: each side alone is a complete
+    search at its level, and ``start`` and the full set are marked from the
+    outset, so at a level that some order meets, neither side runs out of
+    sets before it pops a set the other side has marked.  The side with the
+    smaller stack pops next, forward on a tie.  A level is refuted as soon
+    as either side runs out of sets.  So the level at which the sides meet
+    is the least peak.  At a level change the sets still on a side's stack
+    stay on it, and each side's list for the new level joins its stack.  A
+    side with nothing left, on its stack or waiting at any cost, would
+    refute every later level with no work, and no peak reaches n; only a
+    fault brings either about, and it raises InternalError.
 
     Which half is restricted: under ``queues`` only the forward half keeps
     the front restriction, and the search stays exact.  Let R be the least
@@ -134,21 +134,21 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     R > L, and a joined order of peak R replays at R + 1 places.
 
     The start level.  Let H be a set of unplaced vertices, and take any order.
-    Let v be the last vertex of H placed, and w the vertex of H placed just
-    before v.  Just before v, each out-neighbour of v in H is placed and waits
-    on v, so the peak is at least d(v) = |out(v) & H|.  Just before w, each
-    vertex of H - v - w is placed, and those in out(v) or out(w) wait on v or
-    w, so the peak is at least |(out(v) | out(w)) & (H - v - w)|; v must be
-    dropped too, because out(w) may hold v.  So the peak is at least the
-    least, over v in H, of max(d(v), the least such pair count over w), which
-    is at least the least d(v) (the degeneracy bound).  Both arguments hold
-    for every order, so also under the front restriction, and both halves
-    start at the bound.  ``start_level`` takes the bound along a peel chain:
-    H starts as every unplaced vertex, and the vertices with at most the
-    level's out-neighbours in H leave it after each bound, until H has fewer
-    than level + 2 vertices and cannot raise the level.  A search that starts
-    at a bound still returns the least peak, and skips the levels where it
-    would only prove that no order is better.
+    Let v be the last vertex of H placed: just before v, each out-neighbour
+    of v in H is placed and waits on v, so the peak is at least the least
+    d(v) = |out(v) & H| over v in H.  This holds for every order, so also
+    under the front restriction, and both halves start at the largest such
+    bound over the sets H, the out-degeneracy g.  ``start_level`` peels: H
+    starts as every unplaced vertex, and each round raises the level to the
+    least degree in H, then drops each vertex whose degree in what is left
+    of H is at most the level, until H has fewer than level + 2 vertices.
+    The level is always some H's least degree, so it never exceeds g.  Take
+    an H* whose least degree is g: while the level is below g, no vertex of
+    H* is dropped, so H keeps at least g + 1 >= level + 2 vertices and the
+    peel goes on, and each round drops a vertex.  So the peel returns g, in
+    whatever order the vertices are dropped.  A search that starts at a
+    bound still returns the least peak, and skips the levels where it would
+    only prove that no order is better.
     """
     n = len(in_mask)
     full = (1 << n) - 1
@@ -216,8 +216,6 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
                 for bit, successor, grown in moves:
                     last[successor] = bit.bit_length()
                     if grown.bit_count() <= level:
-                        if back[successor]:
-                            return level, _join(successor, last, back, start, full)
                         stack.append((successor, grown, allowed, bit))
                     else:
                         later.append((successor, grown, allowed, bit))
@@ -244,8 +242,6 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
                     back[predecessor] = bit.bit_length()
                     cost = shrunk.bit_count()
                     if cost <= level:
-                        if last[predecessor]:
-                            return level, _join(predecessor, last, back, start, full)
                         bstack.append((predecessor, shrunk))
                     else:
                         waiting.setdefault(cost, []).append((predecessor, shrunk))
@@ -275,13 +271,13 @@ def _join(meet, last, back, start, full):
 
 
 def start_level(out_mask, unplaced):
-    """The level ``minimax_order`` starts at: the two-vertex bound of its
-    docstring over the sets H of a peel chain from ``unplaced``."""
+    """The level ``minimax_order`` starts at: the out-degeneracy of the
+    digraph that ``out_mask`` induces on ``unplaced``, the bound of its
+    docstring."""
     level = 0
     group = unplaced
     while group.bit_count() >= level + 2:
-        # (degree in H, bit, out-neighbours in H), least degree first, so that
-        # the w that fails a pair is met early
+        # (degree in H, bit, out-neighbours in H), least degree first
         rows = []
         rest = group
         while rest:
@@ -290,30 +286,11 @@ def start_level(out_mask, unplaced):
             near = out_mask[bit.bit_length() - 1] & group
             rows.append((near.bit_count(), bit, near))
         rows.sort()
-        # the least over v of max(d(v), the least pair count of v and a w),
-        # or at most the level when that is no gain
-        best = len(rows)
-        for degree, v, near in rows:
-            if degree >= best:
-                break
-            floor = degree if degree > level else level
-            low = best
-            for _, w, other in rows:
-                if w != v:
-                    size = ((near | other) & ~(v | w)).bit_count()
-                    if size < low:
-                        low = size
-                        if low <= floor:
-                            break
-            best = low if low > degree else degree
-            if best <= level:
-                break
-        if best > level:
-            level = best
-        for degree, bit, _ in rows:
-            if degree > level:
-                break
-            group ^= bit
+        if rows[0][0] > level:
+            level = rows[0][0]
+        for _, bit, near in rows:
+            if (near & group).bit_count() <= level:
+                group ^= bit
     return level
 
 

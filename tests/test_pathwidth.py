@@ -22,6 +22,12 @@ from fifo_stackup.search import BYTE_TABLE_MAX_VERTICES, arc_masks, start_level
 from conftest import random_digraph, sym_clique, sym_cycle, sym_path
 
 
+def small_digraphs(percent):
+    """Three seeded G(n, p) digraphs for each n from 1 to 10."""
+    rng = SplitMix64(percent * 97 + 3)
+    return [random_digraph(rng, n, percent) for n in range(1, 11) for _ in range(3)]
+
+
 def kernel_corpus():
     """Seeded digraphs with 1 to 14 vertices: G(n, p) for p in 0.15, 0.3 and
     0.6, complete, empty, bidirected path and random admissible (one family
@@ -195,16 +201,33 @@ class TestStartLevel:
                 graph = random_digraph(rng, n, percent)
                 assert self.bound(graph) <= dpw_table(graph).width
 
-    @pytest.mark.parametrize("graph,width", [
-        pytest.param(Digraph.from_named_arcs([("a", "b")]), 0, id="arc"),
-        pytest.param(sym_path(4), 1, id="two-cycles"),
+    @staticmethod
+    def out_degeneracy(out_mask, unplaced):
+        """The largest, over the nonempty sets H within ``unplaced``, of the
+        least out-degree in H, by brute force over every H."""
+        best = 0
+        group = unplaced
+        while group:
+            inside = [v for v in range(len(out_mask)) if group >> v & 1]
+            best = max(best, min((out_mask[v] & group).bit_count() for v in inside))
+            group = group - 1 & unplaced
+        return best
+
+    @pytest.mark.parametrize("graphs", [
+        pytest.param([Digraph.from_named_arcs([("a", "b")])], id="arc"),
+        pytest.param([sym_path(4)], id="two-cycles"),
+    ] + [
+        pytest.param(small_digraphs(percent), id=f"gnp{percent}")
+        for percent in (5, 20, 35, 50, 65, 80, 95, 100)
     ])
-    def test_pair_count_drops_both_vertices(self, graph, width):
-        """For the last vertex v of H and the one w placed before it, the
-        boundary just before w lies in H - v - w: out(w) may hold v (the
-        arc, placed a then b), and out(v) may hold w (a two-cycle)."""
-        assert dpw_table(graph).width == width
-        assert self.bound(graph) == width
+    def test_is_the_out_degeneracy(self, graphs):
+        """On the whole vertex set and on seeded random subsets of it."""
+        rng = SplitMix64(41)
+        for graph in graphs:
+            _, out_mask = arc_masks(graph)
+            full = (1 << graph.vertex_count) - 1
+            for unplaced in (full, rng.below(full + 1), rng.below(full + 1)):
+                assert start_level(out_mask, unplaced) == self.out_degeneracy(out_mask, unplaced)
 
 
 class TestCharacterizationAgainstDefinition:

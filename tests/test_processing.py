@@ -509,6 +509,16 @@ class TestStartLevel:
             with_single_bins += bool(bounds) and 1 in inst.bin_counts()
         assert with_single_bins >= 80
 
+    def test_one_long_queue(self, monkeypatch):
+        """On p1 p1 p2 p2 ... pm pm the out-neighbours of each pallet are the
+        later pallets, so the peel drops pm first and then each pallet before
+        it: the whole chain leaves H in one round at level 0."""
+        bounds = self.record_bounds(monkeypatch)
+        inst = Instance.from_pallet_lists([[f"p{i // 2 + 1}" for i in range(8000)]])
+        places, bin_solution, _ = solve_min_places(inst)
+        assert (places, bounds) == (1, [0])
+        assert replay(inst, bin_solution).max_open == 1
+
     def test_exact_from_level_zero(self, monkeypatch):
         """The start level meets the optimum on most inputs; started at 0,
         the search climbs every level, one waiting list at a time, and must
