@@ -2,11 +2,11 @@
 and the stack-up route.
 
 ``dpw_exact`` runs the minimax search of ``search.minimax_order`` on the
-digraph itself, from both ends of the order with neither half restricted;
-``dpw_via_stackup`` reduces it to a queue system and runs
-``solve_min_places``, the same search with its forward half restricted to
-front pallets.  The independent checks, the subset-table dynamic program and
-the definitional bag-sequence search, live in ``fifo_stackup.oracles``.
+digraph itself, back from the full set alone; ``dpw_via_stackup`` reduces it
+to a queue system and runs ``solve_min_places``, the same search from both
+ends with its forward half restricted to front pallets.  The independent
+checks, the subset-table dynamic program and the definitional bag-sequence
+search, live in ``fifo_stackup.oracles``.
 """
 
 from __future__ import annotations
@@ -95,10 +95,11 @@ def dpw_exact(graph: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dp
     the bag opened for the next vertex after the placed set S is that vertex
     plus the boundary b(S), the placed vertices that still have an unplaced
     in-neighbour.  The width is the least, over orderings, of the largest
-    |b(S)| over the prefixes S, which ``search.minimax_order`` finds
-    with every vertex allowed at every step.  The characterization itself is
-    not taken on faith: the tests check it against the definitional
-    bag-sequence search.
+    |b(S)| over the prefixes S, which ``search.minimax_order`` finds with
+    every vertex allowed at every step, by its backward half alone: from the
+    full set it takes out one vertex at a time until the empty set is left.
+    The characterization itself is not taken on faith: the tests check it
+    against the definitional bag-sequence search.
     """
     _check_vertex_budget(graph, max_vertices)
     in_mask, out_mask = arc_masks(graph)

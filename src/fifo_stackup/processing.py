@@ -6,11 +6,11 @@ and never raises the open count, so a decision configuration is fixed by the
 set S of pallets started so far, and one step opens a front pallet and
 drains the fronts of open pallets.  The pallets open at S are the boundary
 b(S) of S in the sequence graph, so the search is ``search.minimax_order``,
-the one ``pathwidth.dpw_exact`` runs, with its forward half restricted to
-front pallets.  Its backward half, from the last pallet back, is not
-restricted: an order it joins to the forward half turns into a processing
-through ``transform`` all the same.  Its rules, why the search stays exact,
-and the lower bound it starts at, are stated there.
+the one ``pathwidth.dpw_exact`` runs, here from both ends of the order, with
+its forward half restricted to front pallets.  Its backward half, from the
+last pallet back, is not restricted: an order it joins to the forward half
+turns into a processing through ``transform`` all the same.  Its rules, why
+the search stays exact, and the lower bound it starts at, are stated there.
 
 The oracle it is checked against, the bottleneck dynamic program over the
 whole configuration grid, ``opt_bottleneck(ConfigurationDag(inst))``, lives

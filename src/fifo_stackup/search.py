@@ -1,12 +1,11 @@
 """The level search both exact solvers run, and its input encoding.
 
-``minimax_order`` is the search, run from both ends of the vertex order
-until the two halves meet; its docstring states its rules and proves them,
-and ``start_level`` is the lower bound it starts at.  ``arc_masks`` encodes
-a digraph as the masks the search reads.  ``pathwidth.dpw_exact`` runs the
-search on a digraph, with neither half restricted;
-``processing.solve_min_places`` runs it on a sequence graph, with the
-forward half restricted to front pallets and the backward half not.
+``minimax_order`` is the search; its docstring states its rules and proves
+them, and ``start_level`` is the lower bound it starts at.  ``arc_masks``
+encodes a digraph as the masks the search reads.  ``pathwidth.dpw_exact``
+runs the search on a digraph, back from the full set alone;
+``processing.solve_min_places`` runs it on a sequence graph from both ends,
+with the forward half restricted to front pallets and the backward half not.
 
 This module is internal, like ``fifo_stackup.oracles``: it is not in the
 package namespace, and is imported as ``fifo_stackup.search``.
@@ -16,9 +15,8 @@ from __future__ import annotations
 
 from .errors import InternalError
 
-# Up to this many vertices each half of the search marks sets in a byte
-# table of 2^n entries; above it, where zeroing the table costs more, in a
-# dict.
+# Up to this many vertices each half that runs marks its sets in a byte table
+# of 2^n entries; above it, where zeroing the table costs more, in a dict.
 BYTE_TABLE_MAX_VERTICES = 21
 
 
@@ -39,39 +37,36 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
 
     ``in_mask[v]`` and ``out_mask[v]`` are the bitmasks of the in- and
     out-neighbours of vertex v.  The boundary b(S) holds the placed vertices
-    outside ``start`` with an unplaced in-neighbour, so b(start) is empty;
-    the peak of an order is the largest |b(S)| over its prefixes S before the
-    last vertex, or -1 when no vertex is left to place.  The masks may name
+    outside ``start`` with an unplaced in-neighbour, so b(start) is empty; the
+    peak of an order is the largest |b(S)| over its prefixes S before the last
+    vertex, or -1 when no vertex is left to place.  The masks may name
     vertices of ``start``: the search reads only the masks of unplaced and
     boundary vertices, and of those only the unplaced and boundary bits.  Any
     unplaced vertex may come next unless ``queues`` is given: then only the
     front of each queue, its first vertex not in S, may come next, and a
-    vertex outside ``start`` and every queue, which only a faulty caller can
-    pass, raises InternalError.  A queue may repeat a vertex or hold
-    ``start`` vertices; only first occurrences count.  With ``queues`` the
-    masks must be the queues' sequence graph and ``start`` pallets with one
-    bin, as ``processing.solve_min_places`` passes them (see "Which half is
-    restricted" below).
-    Whether v heads a queue depends on S alone: every vertex ahead of v there
-    is placed, a mask built once.  A stack entry carries the allowed mask of
-    its parent and the bit v placed last, 0 at the start, which heads every
-    queue; at its pop v leaves the mask, and each queue v headed adds its
-    next unplaced vertex.
+    vertex outside ``start`` and every queue, a caller's fault, raises
+    InternalError.  A queue may repeat a vertex or hold ``start`` vertices;
+    only first occurrences count.  With ``queues`` the masks must be the
+    queues' sequence graph and ``start`` the one-bin pallets, as
+    ``processing.solve_min_places`` passes them.  Whether v heads a queue
+    depends on S alone: every vertex ahead of v there is placed, a mask built
+    once.  A stack entry carries the allowed mask of its parent and the bit v
+    placed last, 0 at the start, which heads every queue; at its pop v leaves
+    the mask, and each queue v headed adds its next unplaced vertex.
 
-    A minimax search over the sets S, with b(S) carried as a bitmask, run
-    from both ends of the order.  Placing v adds v unless in(v) is within
-    S + v, and drops each u of out(v) & b(S) with in(u) within S + v; a step
-    reads only out(v) & b(S), as no other u loses an unplaced in-neighbour.
-    The cost of S is |b(S)|.  Levels are costs, visited in increasing order
-    from a start level that no order can beat, the bound below.  Sets whose
-    cost is at most the level go on a stack.  As b(S + v) is within b(S) + v,
-    a forward step raises the cost by at most one, so a costlier set costs
-    level + 1 and waits in one list, the next level's stack.  A successor
-    already seen is skipped before its boundary is computed.  One table,
-    holding 1 + the vertex placed last, is both the seen mark and the witness
-    link.  The search is exact because a set's cost depends on the set
-    alone: every path to S has a peak of at least |b(S)|, so skipping S when
-    it is seen again loses no cheaper path to it.
+    A minimax search over the sets S, with b(S) carried as a bitmask.  A
+    forward step places v: it adds v unless in(v) is within S + v, and drops
+    each u of out(v) & b(S) with in(u) within S + v, the only vertices that
+    can lose their last unplaced in-neighbour.  The cost of S is |b(S)|.
+    Levels are costs, visited in increasing order from a start level that no
+    order can beat, the bound below.  Sets whose cost is at most the level go
+    on a stack.  As b(S + v) is within b(S) + v, a forward step raises the
+    cost by at most one, so a costlier set costs level + 1 and waits in one
+    list, the next level's stack.  A successor already seen is skipped before
+    its boundary is computed.  One table, holding 1 + the vertex placed last,
+    is both the seen mark and the witness link.  The search is exact because a
+    set's cost depends on the set alone: every path to S has a peak of at
+    least |b(S)|, so skipping S when seen again loses no cheaper path to it.
 
     Free moves: when placing v does not grow the boundary, |b(S + v)| <=
     |b(S)|, v is the only successor expanded from S.  This is sound because b
@@ -99,45 +94,48 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     successor expanded from T.  Take an order through T with every prefix at
     most the level, and any prefix X from where it places v up to T.  By the
     bound above, D(X - v, v) >= D(T - v, v) = |b(T)| - |b(T - v)| >= 0, so
-    |b(X - v)| <= |b(X)|: moving v back to directly before T raises no
-    prefix, and some such order passes T - v.  This needs no front
-    restriction.  Moving v later can break a front, though, so under
-    ``queues`` the backward half is not restricted, and backward free moves
-    would be unsound if it were.
+    |b(X - v)| <= |b(X)|: moving v back to directly before T raises no prefix,
+    and some such order passes T - v.  Moving v later can break a front,
+    though, so the backward half runs without the front restriction, under
+    which backward free moves would be unsound.
 
     Meeting: when a side pops a set that the other side has marked, the
-    forward path from ``start`` to it and the backward path from it to the
-    full set join into one order.  Every other set on either path was
-    popped, at this level or an earlier one, and the set itself costs at
-    most the level, so the order's peak is at most the level.  The check
-    runs only at a pop, and that is enough: each side alone is a complete
-    search at its level, and ``start`` and the full set are marked from the
-    outset, so at a level that some order meets, neither side runs out of
-    sets before it pops a set the other side has marked.  The side with the
-    smaller stack pops next, forward on a tie.  A level is refuted as soon
-    as either side runs out of sets.  So the level at which the sides meet
-    is the least peak.  At a level change the sets still on a side's stack
-    stay on it, and each side's list for the new level joins its stack.  A
-    side with nothing left, on its stack or waiting at any cost, would
-    refute every later level with no work, and no peak reaches n; only a
-    fault brings either about, and it raises InternalError.
+    forward path from ``start`` to it and the backward path on to the full set
+    join into one order.  Every set on it was popped at this level or before,
+    so its peak is at most the level.  The check runs only at a pop, and that
+    is enough: each side alone is a complete search at its level, and
+    ``start`` and the full set are marked from the outset, so at a level that
+    some order meets, no side runs out of sets before it pops a set the other
+    side has marked.  The side with the smaller stack pops next, forward on a
+    tie, and a level is refuted as soon as a side runs out of sets, so the
+    sides meet at the least peak.  At a level change a side's stack keeps its
+    sets and gains its list for the new level.  A side with nothing left, on
+    its stack or waiting at any cost, would refute every later level with no
+    work, and no peak reaches n; only a fault brings either about, and it
+    raises InternalError.
 
-    Which half is restricted: under ``queues`` only the forward half keeps
-    the front restriction, and the search stays exact.  Let R be the least
-    peak of a restricted order and U that of any order, so R >= U.  An order
-    of peak U becomes a processing through ``transform``, and by the argument
-    of ``seqgraph.decomposition_to_processing`` at most U + 1 pallets are
-    open at once; one-bin pallets never open.  The pallets open at a
-    decision configuration are the boundary of the pallets started, so the
-    processing's opening order is a restricted order of peak at most U, and
-    R = U.  A backward side that runs out at level L shows U > L, hence
+    Which halves run: with no ``queues``, only the backward half, which
+    then meets ``start``, the one set marked forward, at its pop; the order
+    is the backward path.  It is the smaller half: a step back can raise the
+    cost by up to |out(v)| and a step forward by one, so fewer sets near the
+    full set stay under the level, and a forward half would only add pops.
+    Under ``queues`` the forward half runs too, restricted to fronts: on few
+    long queues that keeps the paper's fixed-k regime polynomial, where the
+    backward half alone can store exponentially many sets.  It stays exact.
+    Let R be the least peak of a restricted order and U that of any order,
+    so R >= U.  By the argument of ``seqgraph.decomposition_to_processing``,
+    ``transform`` turns an order of peak U into a processing with at most
+    U + 1 pallets open at once (one-bin pallets never open).  The pallets
+    open at a decision configuration are the boundary of the pallets
+    started, so its opening order is a restricted order of peak at most U,
+    and R = U.  A backward side that runs out at level L shows U > L, hence
     R > L, and a joined order of peak R replays at R + 1 places.
 
     The start level.  Let H be a set of unplaced vertices, and take any order.
     Let v be the last vertex of H placed: just before v, each out-neighbour
     of v in H is placed and waits on v, so the peak is at least the least
     d(v) = |out(v) & H| over v in H.  This holds for every order, so also
-    under the front restriction, and both halves start at the largest such
+    under the front restriction, and the search starts at the largest such
     bound over the sets H, the out-degeneracy g.  ``start_level`` peels: H
     starts as every unplaced vertex, and each round raises the level to the
     least degree in H, then drops each vertex whose degree in what is left
@@ -154,35 +152,38 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     full = (1 << n) - 1
     if start == full:
         return -1, []
-    # per bit placed last (0 at the start), one triple per queue that holds
-    # it: the bits ahead of it, the queue's first occurrences between two 0s,
-    # the index after it
-    fronts = {bit: [] for bit in [0] + [1 << v for v in range(n)]}
-    queued = start
-    for queue in queues or ():
-        bits = [0] + [1 << v for v in dict.fromkeys(queue)] + [0]
-        ahead = 0
-        for p, bit in enumerate(bits[:-1], 1):
-            fronts[bit].append((ahead, bits, p))
-            ahead |= bit
-        queued |= ahead
-    if queues is not None and queued != full:
-        raise InternalError("a vertex outside start is in no queue")
-    # 1 + the vertex placed last in S, and 1 + the vertex placed just after
-    # T; 0 while unseen.  start and the full set are marked from the outset.
-    last = bytearray(1 << n) if n <= BYTE_TABLE_MAX_VERTICES else _Links()
     back = bytearray(1 << n) if n <= BYTE_TABLE_MAX_VERTICES else _Links()
+    if queues is None:
+        last = _Links()  # start is the one set marked forward
+        stack = []
+    else:
+        # per bit placed last (0 at the start), per queue holding it: the bits
+        # ahead of it, the queue's first occurrences between 0s, the next index
+        fronts = {bit: [] for bit in [0] + [1 << v for v in range(n)]}
+        queued = start
+        for queue in queues:
+            bits = [0] + [1 << v for v in dict.fromkeys(queue)] + [0]
+            ahead = 0
+            for p, bit in enumerate(bits[:-1], 1):
+                fronts[bit].append((ahead, bits, p))
+                ahead |= bit
+            queued |= ahead
+        if queued != full:
+            raise InternalError("a vertex outside start is in no queue")
+        last = bytearray(1 << n) if n <= BYTE_TABLE_MAX_VERTICES else _Links()
+        stack = [(start, 0, 0, 0)]  # (S, b(S), parent's allowed mask, bit placed last)
     last[start] = back[full] = 1
     level = start_level(out_mask, full ^ start)
-    # (S, b(S), the parent's allowed mask, the bit placed last)
-    stack = [(start, 0, full ^ start if queues is None else 0, 0)]
     later = []  # the sets that cost level + 1
     bstack = [(full, 0)]  # (T, b(T))
     waiting = {}  # cost above the level -> the backward sets that cost it
     while True:
-        while stack and bstack:
-            if len(stack) <= len(bstack):
-                placed, boundary, allowed, bit = stack.pop()
+        while bstack:
+            if queues and len(stack) <= len(bstack):
+                try:
+                    placed, boundary, allowed, bit = stack.pop()
+                except IndexError:  # the forward side ran out
+                    break
                 if back[placed]:
                     return level, _join(placed, last, back, start, full)
                 unplaced = full ^ placed
@@ -249,13 +250,12 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
         stack += later
         later = []
         bstack += waiting.pop(level, ())
-        if level >= n or not stack or not (bstack or waiting):
-            raise InternalError("the two sides of the search did not meet")
+        if level >= n or queues and not stack or not (bstack or waiting):
+            raise InternalError("the search ran out of sets before the sides met")
 
 
 def _join(meet, last, back, start, full):
-    """The order through ``meet``: its ``last`` links back to ``start``, then
-    its ``back`` links on to the full set."""
+    """The order through ``meet``, by its ``last`` and ``back`` links."""
     order = []
     placed = meet
     while placed != start:

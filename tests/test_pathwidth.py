@@ -114,9 +114,10 @@ class TestLevelSearch:
     @pytest.mark.parametrize("n,seed,width", [
         (22, 0, 3), (22, 2, 3), (24, 1, 3), (26, 0, 3), (26, 2, 4)])
     def test_dict_link_table(self, n, seed, width):
-        """Above the byte-table size the unrestricted search marks its sets in
-        a dict.  Both routes run the same engine, so this checks the two uses
-        of it against each other, not against an independent oracle:
+        """Above the byte-table size the search marks its sets in a dict.
+        The routes run different halves of one engine, ``dpw_exact`` the
+        backward half alone and the stack-up route both, so this checks the
+        two against each other, not against an independent oracle:
         ``dpw_table`` would enumerate 4·10^6 subsets at 22 vertices."""
         graph = random_admissible_digraph(n, seed=seed)
         assert graph.vertex_count > BYTE_TABLE_MAX_VERTICES
@@ -126,6 +127,28 @@ class TestLevelSearch:
         for result in (exact, stackup):
             check = validate_decomposition(graph, result.decomposition)
             assert check.ok and check.width == width
+
+    @pytest.mark.parametrize("seed,width", [(10, 6), (11, 6)])
+    def test_twenty_vertices_at_one_fifth_density(self, seed, width):
+        """Seeded G(20, 0.2) digraphs, pinned with the stack-up route as the
+        second route: ``dpw_table`` would enumerate 2^20 subsets."""
+        graph = random_digraph(SplitMix64(seed), 20, 20)
+        exact = dpw_exact(graph, max_vertices=20)
+        stackup = dpw_via_stackup(graph, max_configurations=10**60)
+        assert exact.width == stackup.width == width
+        for result in (exact, stackup):
+            check = validate_decomposition(graph, result.decomposition)
+            assert check.ok and check.width == width
+
+    @pytest.mark.parametrize("percent", [5, 20, 35, 50, 65, 80, 95, 100])
+    def test_a_digraph_and_its_reversal(self, percent):
+        """The width is the table's on each seeded digraph and on its
+        reversal, which has the same width (reverse the bag order) but puts
+        the sets the backward half pops at the other end of the order."""
+        for graph in small_digraphs(percent):
+            reversal = Digraph(graph.names, frozenset((v, u) for u, v in graph.arcs))
+            for each in (graph, reversal):
+                assert dpw_exact(each).width == dpw_table(each).width, each
 
     @pytest.mark.parametrize("percent", [5, 20, 35, 50, 65, 80, 95, 100])
     def test_a_step_grows_the_boundary_by_at_most_its_vertex(self, percent):
@@ -156,11 +179,11 @@ class TestLevelSearch:
                     assert after == step, (n, mask, v)
                     assert boundary[mask] == after - {v} | outs[v] & s, (n, mask, v)
 
-    @pytest.mark.parametrize("seed", [38, 373])
+    @pytest.mark.parametrize("seed", [5, 22, 38, 373])
     def test_a_backward_step_that_raises_the_cost_by_two(self, seed):
-        """On these inputs (11 and 16 vertices) a backward step raises the
-        cost by more than one, so a backward side that kept one waiting list
-        for every cost would answer one too few."""
+        """On these inputs (11, 6, 11 and 16 vertices) a backward step raises
+        the cost by more than one; on 5 and 22 a backward side that kept one
+        waiting list for every cost would answer one too few."""
         graph = random_admissible_digraph(6 + seed % 11, max_degree=2 + seed % 4, seed=seed)
         assert dpw_exact(graph).width == dpw_table(graph).width
 

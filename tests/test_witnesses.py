@@ -50,7 +50,7 @@ def exact_rows():
      "5a2a3acd76bfc562353510a758d314a55f8cd066290852d11f5608da96263d2c"),
     (exact_rows,
      "16ab8742a657e74134275518511dcb298113bc4faa0d1b42f1c819331a644504",
-     "03e8d9d7b0b52ff5eaa12ad8054d89f45a93debaf79eb255258d07bd824c6346"),
+     "857cbb4db3094e1983379ac4f9e844147ef4cab2468c36b2fd2ec9c4c9691d4a"),
 ], ids=["solve_min_places", "dpw_via_stackup", "dpw_exact"])
 def test_witnesses_are_pinned(rows, answers, digest):
     answer_sha = hashlib.sha256()
