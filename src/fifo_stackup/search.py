@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .errors import InternalError
 
-# Up to this many vertices each half that runs marks its sets in a byte table
-# of 2^n entries; above it, where zeroing the table costs more, in a dict.
+# Up to this many vertices each half marks its sets in a byte table of 2^n
+# entries; above it, where zeroing the table costs more, in a dict.
 BYTE_TABLE_MAX_VERTICES = 21
 
 
@@ -68,16 +68,6 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     set's cost depends on the set alone: every path to S has a peak of at
     least |b(S)|, so skipping S when seen again loses no cheaper path to it.
 
-    Free moves: when placing v does not grow the boundary, |b(S + v)| <=
-    |b(S)|, v is the only successor expanded from S.  This is sound because b
-    is submodular.  For S within X and v not in X, placing v changes |b(X)| by
-    D(X, v) = [in(v) not within X + v] - |{u in X - start : in(u) - X = {v}}|,
-    whose first term can only fall and whose set can only grow as X grows, so
-    D(X, v) <= D(S, v) <= 0.  Moving v forward to directly after S therefore
-    never raises a later prefix, and some optimal ordering places v next.
-    This holds under the restriction too: a front stays a front while other
-    vertices are placed, so placing v early disallows no vertex.
-
     The backward half runs from the full set down: from a set T it takes out
     a vertex v of T - start, and the orders through T - v and T are those
     that place v just after T - v.  A vertex u of T - v - start is in
@@ -91,9 +81,13 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     holding 1 + the vertex placed just after T.
 
     Backward free moves: when |b(T - v)| <= |b(T)|, T - v is the only
-    successor expanded from T.  Take an order through T with every prefix at
-    most the level, and any prefix X from where it places v up to T.  By the
-    bound above, D(X - v, v) >= D(T - v, v) = |b(T)| - |b(T - v)| >= 0, so
+    successor expanded from T.  This is sound because b is submodular.  For
+    S within X and v not in X, placing v changes |b(X)| by D(X, v) =
+    [in(v) not within X + v] - |{u in X - start : in(u) - X = {v}}|, whose
+    first term can only fall and whose set can only grow as X grows, so
+    D(X, v) <= D(S, v).  Take an order through T with every prefix at most
+    the level, and any prefix X from where it places v up to T.  Then
+    D(X - v, v) >= D(T - v, v) = |b(T)| - |b(T - v)| >= 0, so
     |b(X - v)| <= |b(X)|: moving v back to directly before T raises no prefix,
     and some such order passes T - v.  Moving v later can break a front,
     though, so the backward half runs without the front restriction, under
@@ -153,10 +147,9 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
     if start == full:
         return -1, []
     back = bytearray(1 << n) if n <= BYTE_TABLE_MAX_VERTICES else _Links()
-    if queues is None:
-        last = _Links()  # start is the one set marked forward
-        stack = []
-    else:
+    last = bytearray(1 << n) if n <= BYTE_TABLE_MAX_VERTICES else _Links()
+    stack = []
+    if queues is not None:
         # per bit placed last (0 at the start), per queue holding it: the bits
         # ahead of it, the queue's first occurrences between 0s, the next index
         fronts = {bit: [] for bit in [0] + [1 << v for v in range(n)]}
@@ -170,8 +163,7 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
             queued |= ahead
         if queued != full:
             raise InternalError("a vertex outside start is in no queue")
-        last = bytearray(1 << n) if n <= BYTE_TABLE_MAX_VERTICES else _Links()
-        stack = [(start, 0, 0, 0)]  # (S, b(S), parent's allowed mask, bit placed last)
+        stack.append((start, 0, 0, 0))  # (S, b(S), parent's allowed mask, bit placed last)
     last[start] = back[full] = 1
     level = start_level(out_mask, full ^ start)
     later = []  # the sets that cost level + 1
@@ -193,8 +185,6 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
                         while placed & bits[p]:
                             p += 1
                         allowed |= bits[p]
-                size = boundary.bit_count()
-                moves = []
                 rest = allowed
                 while rest:
                     bit = rest & -rest
@@ -203,6 +193,7 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
                     if last[successor]:
                         continue
                     v = bit.bit_length() - 1
+                    last[successor] = v + 1
                     grown = boundary | bit if in_mask[v] & unplaced else boundary
                     near = out_mask[v] & boundary
                     while near:
@@ -210,12 +201,6 @@ def minimax_order(in_mask, out_mask, start=0, queues=None):
                         near ^= low
                         if not in_mask[low.bit_length() - 1] & (unplaced ^ bit):
                             grown ^= low
-                    if grown.bit_count() <= size:
-                        moves = [(bit, successor, grown)]  # a free move: expand it alone
-                        break
-                    moves.append((bit, successor, grown))
-                for bit, successor, grown in moves:
-                    last[successor] = bit.bit_length()
                     if grown.bit_count() <= level:
                         stack.append((successor, grown, allowed, bit))
                     else:

@@ -44,10 +44,10 @@ def exact_rows():
 @pytest.mark.parametrize("rows,answers,digest", [
     (stackup_rows,
      "eb64f23254951af7f10f6c31a0bbc0d86fdac7d6c4179978fff41a1f00419cc9",
-     "bc4c1e705a0168fd11255bce2fd9043d3538203dd927299616754a9b1a9feaa0"),
+     "b98ff3518aff266e92ab7feb71f52e133e17fa53f1d2f7a5ee8f76813e199762"),
     (via_stackup_rows,
      "79338fcf96a1497f2736d9713b34a448d1701e09ea004c599307c508d2962b32",
-     "5a2a3acd76bfc562353510a758d314a55f8cd066290852d11f5608da96263d2c"),
+     "958ff590f1e0492345ca18a4d13ffd8175797bf6538b30f422e587811c796383"),
     (exact_rows,
      "16ab8742a657e74134275518511dcb298113bc4faa0d1b42f1c819331a644504",
      "857cbb4db3094e1983379ac4f9e844147ef4cab2468c36b2fd2ec9c4c9691d4a"),
